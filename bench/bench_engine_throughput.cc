@@ -84,14 +84,12 @@ void BM_BatchExtract_LandRegistry(benchmark::State& state) {
   bo.min_docs_per_shard = 8;
   BatchExtractor extractor(bo);
 
-  // The serving loop refills one BatchResult (ExtractInto), so steady
-  // state recycles every per-doc vector and pooled mapping.
   BatchResult result;
-  extractor.ExtractInto(plan, corpus, &result);  // warm-up, not counted
+  result = extractor.Extract(plan, corpus);  // warm-up, not counted
   uint64_t mappings = 0;
   const uint64_t allocs_before = obs::HeapAllocCount();
   for (auto _ : state) {
-    extractor.ExtractInto(plan, corpus, &result);
+    result = extractor.Extract(plan, corpus);
     mappings = result.total_mappings;
     benchmark::DoNotOptimize(result);
   }
@@ -121,11 +119,11 @@ void BM_BatchExtract_ServerLog(benchmark::State& state) {
   BatchExtractor extractor(bo);
 
   BatchResult result;
-  extractor.ExtractInto(plan, corpus, &result);  // warm-up, not counted
+  result = extractor.Extract(plan, corpus);  // warm-up, not counted
   uint64_t mappings = 0;
   const uint64_t allocs_before = obs::HeapAllocCount();
   for (auto _ : state) {
-    extractor.ExtractInto(plan, corpus, &result);
+    result = extractor.Extract(plan, corpus);
     mappings = result.total_mappings;
     benchmark::DoNotOptimize(result);
   }
@@ -157,11 +155,11 @@ void BM_BatchExtract_LowSelectivity(benchmark::State& state) {
   BatchExtractor extractor(bo);
 
   BatchResult result;
-  extractor.ExtractInto(plan, corpus, &result);  // warm-up, not counted
+  result = extractor.Extract(plan, corpus);  // warm-up, not counted
   uint64_t mappings = 0;
   const uint64_t allocs_before = obs::HeapAllocCount();
   for (auto _ : state) {
-    extractor.ExtractInto(plan, corpus, &result);
+    result = extractor.Extract(plan, corpus);
     mappings = result.total_mappings;
     benchmark::DoNotOptimize(result);
   }
@@ -189,11 +187,11 @@ void BM_BatchExtract_LowSelectivity_NoGate(benchmark::State& state) {
   BatchExtractor extractor(bo);
 
   BatchResult result;
-  extractor.ExtractInto(plan, corpus, &result);  // warm-up, not counted
+  result = extractor.Extract(plan, corpus);  // warm-up, not counted
   uint64_t mappings = 0;
   const uint64_t allocs_before = obs::HeapAllocCount();
   for (auto _ : state) {
-    extractor.ExtractInto(plan, corpus, &result);
+    result = extractor.Extract(plan, corpus);
     mappings = result.total_mappings;
     benchmark::DoNotOptimize(result);
   }
@@ -234,11 +232,11 @@ void BM_MultiQueryExtract_Fleet(benchmark::State& state) {
   BatchExtractor extractor(bo);
 
   MultiBatchResult result;
-  extractor.ExtractMultiInto(fleet, corpus, &result);  // warm-up
+  result = extractor.ExtractMulti(fleet, corpus);  // warm-up
   uint64_t mappings = 0;
   const uint64_t allocs_before = obs::HeapAllocCount();
   for (auto _ : state) {
-    extractor.ExtractMultiInto(fleet, corpus, &result);
+    result = extractor.ExtractMulti(fleet, corpus);
     mappings = result.total_mappings;
     benchmark::DoNotOptimize(result);
   }
@@ -266,13 +264,13 @@ void BM_SequentialPlans_Fleet(benchmark::State& state) {
 
   std::vector<BatchResult> results(plans.size());
   for (size_t p = 0; p < plans.size(); ++p)
-    extractor.ExtractInto(*plans[p], corpus, &results[p]);  // warm-up
+    results[p] = extractor.Extract(*plans[p], corpus);  // warm-up
   uint64_t mappings = 0;
   const uint64_t allocs_before = obs::HeapAllocCount();
   for (auto _ : state) {
     mappings = 0;
     for (size_t p = 0; p < plans.size(); ++p) {
-      extractor.ExtractInto(*plans[p], corpus, &results[p]);
+      results[p] = extractor.Extract(*plans[p], corpus);
       mappings += results[p].total_mappings;
     }
     benchmark::DoNotOptimize(results);
@@ -307,18 +305,18 @@ void BM_FleetSinglePassVsSequential(benchmark::State& state) {
 
   MultiBatchResult multi_result;
   std::vector<BatchResult> seq_results(plans.size());
-  extractor.ExtractMultiInto(fleet, corpus, &multi_result);  // warm-up
+  multi_result = extractor.ExtractMulti(fleet, corpus);  // warm-up
   for (size_t p = 0; p < plans.size(); ++p)
-    extractor.ExtractInto(*plans[p], corpus, &seq_results[p]);
+    seq_results[p] = extractor.Extract(*plans[p], corpus);
 
   using Clock = std::chrono::steady_clock;
   double multi_s = 0, seq_s = 0;
   for (auto _ : state) {
     auto t0 = Clock::now();
-    extractor.ExtractMultiInto(fleet, corpus, &multi_result);
+    multi_result = extractor.ExtractMulti(fleet, corpus);
     auto t1 = Clock::now();
     for (size_t p = 0; p < plans.size(); ++p)
-      extractor.ExtractInto(*plans[p], corpus, &seq_results[p]);
+      seq_results[p] = extractor.Extract(*plans[p], corpus);
     auto t2 = Clock::now();
     multi_s += std::chrono::duration<double>(t1 - t0).count();
     seq_s += std::chrono::duration<double>(t2 - t1).count();
@@ -339,9 +337,9 @@ BENCHMARK(BM_FleetSinglePassVsSequential)
 
 // Posting-list-gated extraction over a persisted segment vs. the full
 // in-memory scan, paired within the iteration like the fleet comparison
-// above: each iteration runs one ExtractIndexed over the mmap'd segment
+// above: each iteration runs one Extract over the mmap'd segment
 // (trigram index narrows 2000 docs to the ~1% candidates, only those are
-// materialized) and one ExtractInto full sweep back to back. The speedup
+// materialized) and one Extract full sweep back to back. The speedup
 // counter is what tools/run_bench.sh gates — on a needle corpus the index
 // must never make extraction slower than scanning. Setup writes the
 // segment to a temp file so the bench exercises the real mmap read path.
@@ -374,17 +372,17 @@ void BM_IndexedExtract_Needle(benchmark::State& state) {
 
   BatchResult indexed_result, scan_result;
   IndexedStats istats;
-  extractor.ExtractIndexed(plan, store, &index, &istats);  // warm-up
-  extractor.ExtractInto(plan, corpus, &scan_result);
+  extractor.Extract(plan, DocumentSource(store, &index, &istats));  // warm-up
+  scan_result = extractor.Extract(plan, corpus);
 
   using Clock = std::chrono::steady_clock;
   double indexed_s = 0, scan_s = 0;
   uint64_t mappings = 0;
   for (auto _ : state) {
     auto t0 = Clock::now();
-    indexed_result = extractor.ExtractIndexed(plan, store, &index);
+    indexed_result = extractor.Extract(plan, DocumentSource(store, &index));
     auto t1 = Clock::now();
-    extractor.ExtractInto(plan, corpus, &scan_result);
+    scan_result = extractor.Extract(plan, corpus);
     auto t2 = Clock::now();
     indexed_s += std::chrono::duration<double>(t1 - t0).count();
     scan_s += std::chrono::duration<double>(t2 - t1).count();
@@ -463,10 +461,10 @@ void BM_MultiQueryGate_Fleet(benchmark::State& state) {
   BatchExtractor extractor(bo);
 
   MultiBatchResult result;
-  extractor.ExtractMultiInto(fleet, corpus, &result);  // warm-up
+  result = extractor.ExtractMulti(fleet, corpus);  // warm-up
   const uint64_t allocs_before = obs::HeapAllocCount();
   for (auto _ : state) {
-    extractor.ExtractMultiInto(fleet, corpus, &result);
+    result = extractor.ExtractMulti(fleet, corpus);
     benchmark::DoNotOptimize(result);
   }
   ReportBatchCounters(state, corpus.size(), 0,
@@ -492,11 +490,11 @@ void BM_SequentialGate_Fleet(benchmark::State& state) {
 
   std::vector<BatchResult> results(plans.size());
   for (size_t p = 0; p < plans.size(); ++p)
-    extractor.ExtractInto(*plans[p], corpus, &results[p]);  // warm-up
+    results[p] = extractor.Extract(*plans[p], corpus);  // warm-up
   const uint64_t allocs_before = obs::HeapAllocCount();
   for (auto _ : state) {
     for (size_t p = 0; p < plans.size(); ++p)
-      extractor.ExtractInto(*plans[p], corpus, &results[p]);
+      results[p] = extractor.Extract(*plans[p], corpus);
     benchmark::DoNotOptimize(results);
   }
   ReportBatchCounters(state, corpus.size(), 0,
@@ -534,11 +532,11 @@ void BM_QueryBatchExtract_ServerLog(benchmark::State& state) {
   BatchExtractor extractor(bo);
 
   BatchResult result;
-  extractor.ExtractInto(q, corpus, &result);  // warm-up, not counted
+  result = extractor.Extract(q, corpus);  // warm-up, not counted
   uint64_t mappings = 0;
   const uint64_t allocs_before = obs::HeapAllocCount();
   for (auto _ : state) {
-    extractor.ExtractInto(q, corpus, &result);
+    result = extractor.Extract(q, corpus);
     mappings = result.total_mappings;
     benchmark::DoNotOptimize(result);
   }
@@ -618,19 +616,19 @@ void BM_MetricsOverhead_ServerLog(benchmark::State& state) {
   BatchExtractor extractor(bo);
 
   BatchResult result;
-  extractor.ExtractInto(plan, corpus, &result);  // warm-up, not counted
+  result = extractor.Extract(plan, corpus);  // warm-up, not counted
   obs::SetEnabled(true);
-  extractor.ExtractInto(plan, corpus, &result);  // warm the metric cells
+  result = extractor.Extract(plan, corpus);  // warm the metric cells
   obs::SetEnabled(false);
 
   using Clock = std::chrono::steady_clock;
   double off_s = 0, on_s = 0;
   for (auto _ : state) {
     auto t0 = Clock::now();
-    extractor.ExtractInto(plan, corpus, &result);
+    result = extractor.Extract(plan, corpus);
     auto t1 = Clock::now();
     obs::SetEnabled(true);
-    extractor.ExtractInto(plan, corpus, &result);
+    result = extractor.Extract(plan, corpus);
     obs::SetEnabled(false);
     auto t2 = Clock::now();
     off_s += std::chrono::duration<double>(t1 - t0).count();
@@ -673,16 +671,16 @@ void BM_CancelOverhead_ServerLog(benchmark::State& state) {
   token.ArmMemoryBudget(uint64_t{1} << 40);
 
   BatchResult result;
-  extractor.ExtractInto(plan, corpus, &result);  // warm-up, not counted
+  result = extractor.Extract(plan, corpus);  // warm-up, not counted
 
   using Clock = std::chrono::steady_clock;
   double off_s = 0, on_s = 0;
   for (auto _ : state) {
     auto t0 = Clock::now();
-    extractor.ExtractInto(plan, corpus, &result);
+    result = extractor.Extract(plan, corpus);
     auto t1 = Clock::now();
     extractor.set_cancel(&token);
-    extractor.ExtractInto(plan, corpus, &result);
+    result = extractor.Extract(plan, corpus);
     extractor.set_cancel(nullptr);
     auto t2 = Clock::now();
     off_s += std::chrono::duration<double>(t1 - t0).count();
@@ -719,16 +717,16 @@ void BM_CancelOverhead_Fleet(benchmark::State& state) {
   token.ArmMemoryBudget(uint64_t{1} << 40);
 
   MultiBatchResult result;
-  extractor.ExtractMultiInto(fleet, corpus, &result);  // warm-up
+  result = extractor.ExtractMulti(fleet, corpus);  // warm-up
 
   using Clock = std::chrono::steady_clock;
   double off_s = 0, on_s = 0;
   for (auto _ : state) {
     auto t0 = Clock::now();
-    extractor.ExtractMultiInto(fleet, corpus, &result);
+    result = extractor.ExtractMulti(fleet, corpus);
     auto t1 = Clock::now();
     extractor.set_cancel(&token);
-    extractor.ExtractMultiInto(fleet, corpus, &result);
+    result = extractor.ExtractMulti(fleet, corpus);
     extractor.set_cancel(nullptr);
     auto t2 = Clock::now();
     off_s += std::chrono::duration<double>(t1 - t0).count();

@@ -126,7 +126,7 @@ void BM_ServedBatch_Fleet(benchmark::State& state) {
     if (!summary.ok()) std::abort();
   };
   run_served();                                       // warm-up
-  inproc.ExtractMultiInto(fleet, corpus, &inproc_result);
+  inproc_result = inproc.ExtractMulti(fleet, corpus);
 
   using Clock = std::chrono::steady_clock;
   double served_s = 0, inproc_s = 0;
@@ -134,7 +134,7 @@ void BM_ServedBatch_Fleet(benchmark::State& state) {
     auto t0 = Clock::now();
     run_served();
     auto t1 = Clock::now();
-    inproc.ExtractMultiInto(fleet, corpus, &inproc_result);
+    inproc_result = inproc.ExtractMulti(fleet, corpus);
     auto t2 = Clock::now();
     served_s += std::chrono::duration<double>(t1 - t0).count();
     inproc_s += std::chrono::duration<double>(t2 - t1).count();

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <iterator>
 #include <mutex>
 #include <utility>
 
@@ -24,34 +25,6 @@ obs::Histogram* DocHistogram() {
   static obs::Histogram* h =
       obs::MetricsRegistry::Global().GetHistogram("engine.doc_ns");
   return h;
-}
-
-/// Byte-balanced contiguous shards over an arbitrary per-item size list —
-/// the candidate-docid analogue of ShardCorpus (which needs a Corpus, and
-/// indexed extraction deliberately has none until documents materialize).
-std::vector<Shard> ShardSizes(const std::vector<uint64_t>& sizes,
-                              const ShardingOptions& options) {
-  std::vector<Shard> shards;
-  if (sizes.empty()) return shards;
-  uint64_t total = 0;
-  for (uint64_t s : sizes) total += s;
-  const size_t max_shards = std::max<size_t>(1, options.max_shards);
-  const uint64_t target = std::max<uint64_t>(1, total / max_shards);
-
-  Shard cur{0, 0};
-  uint64_t acc = 0;
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    cur.end = i + 1;
-    acc += sizes[i];
-    if (acc >= target && cur.size() >= options.min_docs_per_shard &&
-        shards.size() + 1 < max_shards) {
-      shards.push_back(cur);
-      cur = Shard{i + 1, i + 1};
-      acc = 0;
-    }
-  }
-  if (cur.size() > 0) shards.push_back(cur);
-  return shards;
 }
 
 /// Snapshot of this process's page-fault counters (minor, major).
@@ -83,7 +56,66 @@ void RecordIndexedStats(const IndexedStats& stats) {
   lookup_ns->Record(stats.lookup_ns);
 }
 
+/// Shards ≈ threads × this, so work stealing can rebalance skew.
+constexpr size_t kShardOversubscription = 4;
+
+/// One shard's results: [plan][document - shard begin].
+using PerPlanSlice = std::vector<std::vector<std::vector<Mapping>>>;
+
+/// Moves one shard's per-document slice into the collected result.
+void Gather(size_t doc_begin, std::vector<std::vector<Mapping>>& slice,
+            BatchResult* result) {
+  for (size_t i = 0; i < slice.size(); ++i) {
+    result->total_mappings += slice[i].size();
+    result->per_doc[doc_begin + i] = std::move(slice[i]);
+  }
+}
+
 }  // namespace
+
+struct BatchExtractor::Job {
+  const DocumentExtractor* extractor = nullptr;  // exactly one is set
+  const MultiQueryExtractor* fleet = nullptr;
+
+  size_t num_plans() const {
+    return fleet != nullptr ? fleet->num_plans() : 1;
+  }
+  /// Literal requirement of plan p, or null when it has none to offer.
+  const Prefilter* requirement(size_t p) const {
+    return fleet != nullptr ? &fleet->plan(p).prefilter()
+                            : extractor->required_literals();
+  }
+  /// The segment documents this job must extract: the union of every
+  /// plan's posting-list candidates. A plan the index cannot narrow (or no
+  /// index at all) widens the union to every document — its matches could
+  /// be anywhere.
+  storage::CandidateSet Candidates(const storage::NgramIndex* index,
+                                   storage::LookupStats* lookup) const {
+    storage::CandidateSet cand;
+    cand.all = false;
+    for (size_t p = 0; p < num_plans(); ++p) {
+      const Prefilter* req = requirement(p);
+      if (index == nullptr || req == nullptr) return {};
+      storage::CandidateSet c = index->Candidates(*req, lookup);
+      if (c.all) return c;
+      std::vector<uint32_t> merged;
+      merged.reserve(cand.docs.size() + c.docs.size());
+      std::set_union(cand.docs.begin(), cand.docs.end(), c.docs.begin(),
+                     c.docs.end(), std::back_inserter(merged));
+      cand.docs = std::move(merged);
+    }
+    return cand;
+  }
+  /// Fills out[p] with the sorted mappings of `doc` under plan p.
+  void Run(const Document& doc, PlanScratch* scratch,
+           std::vector<Mapping>** out) const {
+    if (fleet != nullptr) {
+      fleet->ExtractAllSortedInto(doc, scratch, out);
+    } else {
+      extractor->ExtractSortedInto(doc, scratch, out[0]);
+    }
+  }
+};
 
 size_t BatchResult::MatchedDocuments() const {
   size_t n = 0;
@@ -99,379 +131,88 @@ BatchExtractor::BatchExtractor(BatchOptions options)
     worker_scratch_.push_back(std::make_unique<PlanScratch>());
 }
 
-BatchResult BatchExtractor::Extract(const DocumentExtractor& extractor,
-                                    const Corpus& corpus) {
-  BatchResult result;
-  ExtractInto(extractor, corpus, &result);
-  return result;
-}
-
-ShardingOptions BatchExtractor::MakeShardingOptions() const {
-  ShardingOptions sharding;
-  sharding.max_shards =
-      pool_.num_threads() *
-      (options_.shard_oversubscription == 0 ? 1
-                                            : options_.shard_oversubscription);
-  sharding.min_docs_per_shard = options_.min_docs_per_shard;
-  return sharding;
-}
-
-void BatchExtractor::ExtractInto(const DocumentExtractor& extractor,
-                                 const Corpus& corpus, BatchResult* result) {
-  result->per_doc.resize(corpus.size());
-  result->total_mappings = 0;
-  result->shards = 0;
-  if (corpus.empty()) return;
-
-  std::vector<Shard> shards = ShardCorpus(corpus, MakeShardingOptions());
-  result->shards = shards.size();
-
-  // One task per shard; each writes only its own slots of per_doc, so no
-  // synchronization is needed beyond the pool's completion barrier. Every
-  // worker extracts through its own arena-backed scratch, Reset() between
-  // documents; a reused result's previous mappings are recycled into the
-  // extracting worker's pool. Output order is fixed by document slot +
-  // Mapping sort, so results are byte-identical for any thread count.
-  for (const Shard& shard : shards) {
-    pool_.Submit([this, &extractor, &corpus, result, shard] {
-      PlanScratch& scratch =
-          *worker_scratch_[ThreadPool::CurrentWorkerIndex()];
-      scratch.cancel = cancel_;  // unconditionally: clears stale tokens too
-      for (size_t i = shard.begin; i < shard.end; ++i) {
-        if (cancel_ != nullptr && cancel_->tripped()) break;
-        obs::ObsSpan span(DocHistogram(), "doc", i);
-        extractor.ExtractSortedInto(corpus[i], &scratch, &result->per_doc[i]);
-      }
-    });
-  }
-  pool_.WaitIdle();
-
-  for (const auto& ms : result->per_doc) result->total_mappings += ms.size();
-}
-
-MultiBatchResult BatchExtractor::ExtractMulti(
-    const MultiQueryExtractor& fleet, const Corpus& corpus) {
-  MultiBatchResult result;
-  ExtractMultiInto(fleet, corpus, &result);
-  return result;
-}
-
-void BatchExtractor::ExtractMultiInto(const MultiQueryExtractor& fleet,
-                                      const Corpus& corpus,
-                                      MultiBatchResult* result) {
-  const size_t num_plans = fleet.num_plans();
-  result->per_plan.resize(num_plans);
-  result->total_mappings = 0;
-  result->shards = 0;
-  for (BatchResult& br : result->per_plan) {
-    br.per_doc.resize(corpus.size());
-    br.total_mappings = 0;
-    br.shards = 0;
-  }
-  if (corpus.empty() || num_plans == 0) return;
-
-  std::vector<Shard> shards = ShardCorpus(corpus, MakeShardingOptions());
-  result->shards = shards.size();
-  for (BatchResult& br : result->per_plan) br.shards = shards.size();
-
-  // Exactly the Extract layout — one task per shard, each writing only
-  // its own per-document slots — except that a task extracts every plan
-  // of the fleet from a document while its text is hot: one shared AC
-  // scan, then the surviving plans' evaluators, all through this worker's
-  // scratch.
-  for (const Shard& shard : shards) {
-    pool_.Submit([this, &fleet, &corpus, result, num_plans, shard] {
-      PlanScratch& scratch =
-          *worker_scratch_[ThreadPool::CurrentWorkerIndex()];
-      scratch.cancel = cancel_;
-      std::vector<std::vector<Mapping>*> slots(num_plans);
-      for (size_t i = shard.begin; i < shard.end; ++i) {
-        if (cancel_ != nullptr && cancel_->tripped()) break;
-        obs::ObsSpan span(DocHistogram(), "doc", i);
-        for (size_t p = 0; p < num_plans; ++p)
-          slots[p] = &result->per_plan[p].per_doc[i];
-        fleet.ExtractAllSortedInto(corpus[i], &scratch, slots.data());
-      }
-    });
-  }
-  pool_.WaitIdle();
-
-  for (BatchResult& br : result->per_plan) {
-    for (const auto& ms : br.per_doc) br.total_mappings += ms.size();
-    result->total_mappings += br.total_mappings;
-  }
-}
-
-BatchResult BatchExtractor::ExtractIndexed(const ExtractionPlan& plan,
-                                           const storage::SegmentStore& store,
-                                           const storage::NgramIndex* index,
-                                           IndexedStats* stats) {
-  BatchResult result;
-  const size_t num_docs = store.num_docs();
-  result.per_doc.assign(num_docs, {});
-
-  IndexedStats local;
-  local.corpus_docs = num_docs;
-  const std::pair<uint64_t, uint64_t> faults0 = PageFaults();
-
-  storage::CandidateSet cand;  // all = true: scan everything
-  if (index != nullptr) {
-    storage::LookupStats lookup;
-    const auto t0 = std::chrono::steady_clock::now();
-    cand = index->Candidates(plan.prefilter(), &lookup);
-    local.lookup_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    local.postings_touched = lookup.postings_touched;
-    local.terms_probed = lookup.terms_probed;
-  }
-  local.narrowed = !cand.all;
-  local.candidate_docs = cand.CountIn(num_docs);
-
-  if (local.candidate_docs > 0) {
-    // Byte-balanced shards over the candidate list; each task materializes
-    // its own candidates out of the mapping and writes only its own
-    // per-docid slots — the same determinism argument as ExtractInto, so
-    // the result is byte-identical for every thread count. Non-candidates
-    // keep their empty slots untouched.
-    std::vector<uint64_t> sizes(local.candidate_docs);
-    for (size_t j = 0; j < sizes.size(); ++j)
-      sizes[j] = store.doc_bytes(cand.all ? j : cand.docs[j]);
-    const std::vector<Shard> shards =
-        ShardSizes(sizes, MakeShardingOptions());
-    result.shards = shards.size();
-    for (const Shard& shard : shards) {
-      pool_.Submit([this, &plan, &store, &cand, &result, shard] {
-        PlanScratch& scratch =
-            *worker_scratch_[ThreadPool::CurrentWorkerIndex()];
-        scratch.cancel = cancel_;
-        for (size_t j = shard.begin; j < shard.end; ++j) {
-          if (cancel_ != nullptr && cancel_->tripped()) break;
-          const size_t d = cand.all ? j : cand.docs[j];
-          obs::ObsSpan span(DocHistogram(), "doc", d);
-          const Document doc = store.MaterializeDoc(d);
-          plan.ExtractSortedInto(doc, &scratch, &result.per_doc[d]);
-        }
-      });
-    }
-    pool_.WaitIdle();
-  }
-
-  for (const auto& ms : result.per_doc) result.total_mappings += ms.size();
-  const std::pair<uint64_t, uint64_t> faults1 = PageFaults();
-  local.minor_faults = faults1.first - faults0.first;
-  local.major_faults = faults1.second - faults0.second;
-  RecordIndexedStats(local);
-  if (stats != nullptr) *stats = local;
-  return result;
-}
-
-MultiBatchResult BatchExtractor::ExtractIndexedMulti(
-    const MultiQueryExtractor& fleet, const storage::SegmentStore& store,
-    const storage::NgramIndex* index, IndexedStats* stats) {
-  MultiBatchResult result;
-  const size_t num_docs = store.num_docs();
-  const size_t num_plans = fleet.num_plans();
-  result.per_plan.resize(num_plans);
-  for (BatchResult& br : result.per_plan) br.per_doc.assign(num_docs, {});
-
-  IndexedStats local;
-  local.corpus_docs = num_docs;
-  if (num_plans == 0) {
-    if (stats != nullptr) *stats = local;
-    return result;
-  }
-  const std::pair<uint64_t, uint64_t> faults0 = PageFaults();
-
-  // A document is a candidate when it is a candidate for ANY resident
-  // plan; a plan the index cannot narrow widens the union to the whole
-  // store (its matches could be anywhere).
-  storage::CandidateSet cand;
-  if (index != nullptr) {
-    storage::LookupStats lookup;
-    const auto t0 = std::chrono::steady_clock::now();
-    cand.all = false;
-    for (size_t p = 0; p < num_plans; ++p) {
-      storage::CandidateSet c =
-          index->Candidates(fleet.plan(p).prefilter(), &lookup);
-      if (c.all) {
-        cand.all = true;
-        cand.docs.clear();
-        break;
-      }
-      std::vector<uint32_t> merged;
-      merged.reserve(cand.docs.size() + c.docs.size());
-      std::set_union(cand.docs.begin(), cand.docs.end(), c.docs.begin(),
-                     c.docs.end(), std::back_inserter(merged));
-      cand.docs = std::move(merged);
-    }
-    local.lookup_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    local.postings_touched = lookup.postings_touched;
-    local.terms_probed = lookup.terms_probed;
-  }
-  local.narrowed = !cand.all;
-  local.candidate_docs = cand.CountIn(num_docs);
-
-  if (local.candidate_docs > 0) {
-    std::vector<uint64_t> sizes(local.candidate_docs);
-    for (size_t j = 0; j < sizes.size(); ++j)
-      sizes[j] = store.doc_bytes(cand.all ? j : cand.docs[j]);
-    const std::vector<Shard> shards =
-        ShardSizes(sizes, MakeShardingOptions());
-    result.shards = shards.size();
-    for (BatchResult& br : result.per_plan) br.shards = shards.size();
-    for (const Shard& shard : shards) {
-      pool_.Submit([this, &fleet, &store, &cand, &result, num_plans, shard] {
-        PlanScratch& scratch =
-            *worker_scratch_[ThreadPool::CurrentWorkerIndex()];
-        scratch.cancel = cancel_;
-        std::vector<std::vector<Mapping>*> slots(num_plans);
-        for (size_t j = shard.begin; j < shard.end; ++j) {
-          if (cancel_ != nullptr && cancel_->tripped()) break;
-          const size_t d = cand.all ? j : cand.docs[j];
-          obs::ObsSpan span(DocHistogram(), "doc", d);
-          for (size_t p = 0; p < num_plans; ++p)
-            slots[p] = &result.per_plan[p].per_doc[d];
-          const Document doc = store.MaterializeDoc(d);
-          fleet.ExtractAllSortedInto(doc, &scratch, slots.data());
-        }
-      });
-    }
-    pool_.WaitIdle();
-  }
-
-  for (BatchResult& br : result.per_plan) {
-    for (const auto& ms : br.per_doc) br.total_mappings += ms.size();
-    result.total_mappings += br.total_mappings;
-  }
-  const std::pair<uint64_t, uint64_t> faults1 = PageFaults();
-  local.minor_faults = faults1.first - faults0.first;
-  local.major_faults = faults1.second - faults0.second;
-  RecordIndexedStats(local);
-  if (stats != nullptr) *stats = local;
-  return result;
-}
-
-BatchExtractor::StreamStats BatchExtractor::ExtractMultiStream(
-    const MultiQueryExtractor& fleet, const Corpus& corpus,
+BatchExtractor::StreamStats BatchExtractor::Drive(
+    const Job& job, const DocumentSource& source,
     const MultiShardConsumer& consumer) {
   StreamStats stats;
-  const size_t num_plans = fleet.num_plans();
-  if (corpus.empty() || num_plans == 0) return stats;
+  const size_t num_plans = job.num_plans();
+  const size_t num_docs = source.num_docs();
 
-  const std::vector<Shard> shards =
-      ShardCorpus(corpus, MakeShardingOptions());
-  stats.shards = shards.size();
-
-  // Same ordered-drain machinery as ExtractStream, with a per-plan slice
-  // per shard.
-  struct ShardState {
-    std::vector<std::vector<std::vector<Mapping>>> per_plan;
-    bool done = false;  // guarded by mu
-  };
-  std::vector<ShardState> state(shards.size());
-  std::mutex mu;
-  std::condition_variable cv;
-  const size_t window = std::max<size_t>(1, pool_.num_threads() * 2);
-
-  auto submit = [&](size_t s) {
-    pool_.Submit([this, &fleet, &corpus, &shards, &state, &mu, &cv,
-                  num_plans, s] {
-      PlanScratch& scratch =
-          *worker_scratch_[ThreadPool::CurrentWorkerIndex()];
-      scratch.cancel = cancel_;
-      const Shard& shard = shards[s];
-      ShardState& st = state[s];
-      st.per_plan.assign(num_plans,
-                         std::vector<std::vector<Mapping>>(shard.size()));
-      std::vector<std::vector<Mapping>*> slots(num_plans);
-      for (size_t i = shard.begin; i < shard.end; ++i) {
-        if (cancel_ != nullptr && cancel_->tripped()) break;
-        obs::ObsSpan span(DocHistogram(), "doc", i);
-        for (size_t p = 0; p < num_plans; ++p)
-          slots[p] = &st.per_plan[p][i - shard.begin];
-        fleet.ExtractAllSortedInto(corpus[i], &scratch, slots.data());
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        st.done = true;
-      }
-      cv.notify_all();
-    });
-  };
-
-  struct DrainGuard {
-    ThreadPool& pool;
-    ~DrainGuard() { pool.WaitIdle(); }
-  } drain{pool_};
-
-  size_t next_submit = 0;
-  for (size_t consumed = 0; consumed < shards.size(); ++consumed) {
-    while (next_submit < shards.size() && next_submit < consumed + window)
-      submit(next_submit++);
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return state[consumed].done; });
-    }
-    ShardState& st = state[consumed];
-    for (size_t d = 0; d < shards[consumed].size(); ++d) {
-      bool matched = false;
-      for (size_t p = 0; p < num_plans; ++p) {
-        stats.total_mappings += st.per_plan[p][d].size();
-        matched = matched || !st.per_plan[p][d].empty();
-      }
-      if (matched) ++stats.matched_documents;
-    }
-    consumer(shards[consumed].begin, shards[consumed].end, st.per_plan);
-    std::vector<std::vector<std::vector<Mapping>>>().swap(st.per_plan);
+  // The documents to extract, in corpus order: every document, or over a
+  // segment the job's index candidates.
+  storage::CandidateSet cand;  // all = true: every document
+  IndexedStats indexed;
+  std::pair<uint64_t, uint64_t> faults0{0, 0};
+  if (source.store_ != nullptr) {
+    faults0 = PageFaults();
+    storage::LookupStats lookup;
+    const auto t0 = std::chrono::steady_clock::now();
+    cand = job.Candidates(source.index_, &lookup);
+    indexed.lookup_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    indexed.corpus_docs = num_docs;
+    indexed.candidate_docs = cand.CountIn(num_docs);
+    indexed.narrowed = !cand.all;
+    indexed.postings_touched = lookup.postings_touched;
+    indexed.terms_probed = lookup.terms_probed;
   }
-  return stats;
-}
+  const size_t count = num_plans == 0 ? 0 : cand.CountIn(num_docs);
+  auto doc_of = [&cand](size_t j) -> size_t {
+    return cand.all ? j : cand.docs[j];
+  };
 
-BatchExtractor::StreamStats BatchExtractor::ExtractStream(
-    const DocumentExtractor& extractor, const Corpus& corpus,
-    const ShardConsumer& consumer) {
-  StreamStats stats;
-  if (corpus.empty()) return stats;
-
-  const ShardingOptions sharding = MakeShardingOptions();
-  const std::vector<Shard> shards = ShardCorpus(corpus, sharding);
-  stats.shards = shards.size();
+  ShardingOptions sharding;
+  sharding.max_shards = pool_.num_threads() * kShardOversubscription;
+  sharding.min_docs_per_shard = options_.min_docs_per_shard;
+  // Shards over the documents to extract, balanced by their bytes; each
+  // delivers the document range from its first document up to the next
+  // shard's, so the ranges tile the corpus when anything is extracted.
+  const std::vector<Shard> work = ShardBySize(
+      count, [&](size_t j) { return source.doc_bytes(doc_of(j)); },
+      sharding);
+  std::vector<Shard> ranges(work.size());
+  for (size_t s = 0; s < work.size(); ++s) {
+    ranges[s].begin = s == 0 ? 0 : ranges[s - 1].end;
+    ranges[s].end = s + 1 == work.size() ? num_docs : doc_of(work[s].end);
+  }
+  stats.shards = work.size();
 
   // Workers fill per-shard slices and flag completion; the calling thread
   // drains completed shards strictly in corpus order, so the emitted
-  // stream is deterministic for any thread count. Submission lags
-  // consumption by a bounded window, which caps in-flight result memory.
+  // stream is deterministic for any thread count. Every worker extracts
+  // through its own arena-backed scratch, Reset() between documents.
   struct ShardState {
-    std::vector<std::vector<Mapping>> per_doc;
+    PerPlanSlice per_plan;
     bool done = false;  // guarded by mu
   };
-  std::vector<ShardState> state(shards.size());
+  std::vector<ShardState> state(work.size());
   std::mutex mu;
   std::condition_variable cv;
   // In-flight bound: enough shards to keep every worker busy while the
-  // consumer drains, but strictly fewer than ShardCorpus can produce
-  // (max_shards = threads × oversubscription), so a slow consumer
-  // genuinely caps materialized results instead of admitting them all.
+  // consumer drains, but strictly fewer than the sharder can produce
+  // (threads × kShardOversubscription), so a slow consumer genuinely caps
+  // materialized results instead of admitting them all.
   const size_t window = std::max<size_t>(1, pool_.num_threads() * 2);
 
   auto submit = [&](size_t s) {
-    pool_.Submit([this, &extractor, &corpus, &shards, &state, &mu, &cv, s] {
+    pool_.Submit([&, s] {
       PlanScratch& scratch =
           *worker_scratch_[ThreadPool::CurrentWorkerIndex()];
-      scratch.cancel = cancel_;
-      const Shard& shard = shards[s];
+      scratch.cancel = cancel_;  // unconditionally: clears stale tokens too
       ShardState& st = state[s];
-      st.per_doc.resize(shard.size());
-      for (size_t i = shard.begin; i < shard.end; ++i) {
+      st.per_plan.assign(num_plans, std::vector<std::vector<Mapping>>(
+                                        ranges[s].size()));
+      std::vector<std::vector<Mapping>*> slots(num_plans);
+      Document held;
+      for (size_t j = work[s].begin; j < work[s].end; ++j) {
         if (cancel_ != nullptr && cancel_->tripped()) break;
-        obs::ObsSpan span(DocHistogram(), "doc", i);
-        extractor.ExtractSortedInto(corpus[i], &scratch,
-                                    &st.per_doc[i - shard.begin]);
+        const size_t d = doc_of(j);
+        obs::ObsSpan span(DocHistogram(), "doc", d);
+        for (size_t p = 0; p < num_plans; ++p)
+          slots[p] = &st.per_plan[p][d - ranges[s].begin];
+        job.Run(source.doc(d, &held), &scratch, slots.data());
       }
       {
         std::lock_guard<std::mutex> lock(mu);
@@ -489,24 +230,88 @@ BatchExtractor::StreamStats BatchExtractor::ExtractStream(
   } drain{pool_};
 
   size_t next_submit = 0;
-  for (size_t consumed = 0; consumed < shards.size(); ++consumed) {
-    while (next_submit < shards.size() && next_submit < consumed + window)
+  for (size_t consumed = 0; consumed < work.size(); ++consumed) {
+    while (next_submit < work.size() && next_submit < consumed + window)
       submit(next_submit++);
     {
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [&] { return state[consumed].done; });
     }
     ShardState& st = state[consumed];
-    for (const auto& ms : st.per_doc) {
-      stats.total_mappings += ms.size();
-      if (!ms.empty()) ++stats.matched_documents;
+    for (size_t d = 0; d < ranges[consumed].size(); ++d) {
+      bool matched = false;
+      for (size_t p = 0; p < num_plans; ++p) {
+        stats.total_mappings += st.per_plan[p][d].size();
+        matched = matched || !st.per_plan[p][d].empty();
+      }
+      if (matched) ++stats.matched_documents;
     }
-    consumer(shards[consumed].begin, shards[consumed].end, st.per_doc);
+    consumer(ranges[consumed].begin, ranges[consumed].end, st.per_plan);
     // Release the slice eagerly: streamed memory stays bounded even when
     // one shard produced a huge result.
-    std::vector<std::vector<Mapping>>().swap(st.per_doc);
+    PerPlanSlice().swap(st.per_plan);
+  }
+
+  if (source.store_ != nullptr) {
+    const std::pair<uint64_t, uint64_t> faults1 = PageFaults();
+    indexed.minor_faults = faults1.first - faults0.first;
+    indexed.major_faults = faults1.second - faults0.second;
+    RecordIndexedStats(indexed);
+    if (source.stats_ != nullptr) *source.stats_ = indexed;
   }
   return stats;
+}
+
+BatchResult BatchExtractor::Extract(const DocumentExtractor& extractor,
+                                    const DocumentSource& source) {
+  BatchResult result;
+  result.per_doc.resize(source.num_docs());
+  result.shards = Drive(Job{&extractor, nullptr}, source,
+                        [&result](size_t doc_begin, size_t,
+                                  PerPlanSlice& slice) {
+                          Gather(doc_begin, slice[0], &result);
+                        })
+                      .shards;
+  return result;
+}
+
+BatchExtractor::StreamStats BatchExtractor::ExtractStream(
+    const DocumentExtractor& extractor, const DocumentSource& source,
+    const ShardConsumer& consumer) {
+  return Drive(Job{&extractor, nullptr}, source,
+               [&consumer](size_t doc_begin, size_t doc_end,
+                           PerPlanSlice& slice) {
+                 consumer(doc_begin, doc_end, slice[0]);
+               });
+}
+
+MultiBatchResult BatchExtractor::ExtractMulti(const MultiQueryExtractor& fleet,
+                                              const DocumentSource& source) {
+  MultiBatchResult result;
+  result.per_plan.resize(fleet.num_plans());
+  for (BatchResult& br : result.per_plan) br.per_doc.resize(source.num_docs());
+  const StreamStats stats = Drive(
+      Job{nullptr, &fleet}, source,
+      [&result](size_t doc_begin, size_t, PerPlanSlice& slice) {
+        for (size_t p = 0; p < slice.size(); ++p)
+          Gather(doc_begin, slice[p], &result.per_plan[p]);
+      });
+  result.shards = stats.shards;
+  result.total_mappings = stats.total_mappings;
+  for (BatchResult& br : result.per_plan) br.shards = stats.shards;
+  return result;
+}
+
+BatchExtractor::StreamStats BatchExtractor::ExtractMultiStream(
+    const MultiQueryExtractor& fleet, const DocumentSource& source,
+    const MultiShardConsumer& consumer) {
+  return Drive(Job{nullptr, &fleet}, source, consumer);
+}
+
+MultiBatchResult BatchExtractor::ExtractIndexedMulti(
+    const MultiQueryExtractor& fleet, const storage::SegmentStore& store,
+    const storage::NgramIndex* index, IndexedStats* stats) {
+  return ExtractMulti(fleet, DocumentSource(store, index, stats));
 }
 
 }  // namespace engine

@@ -1,10 +1,16 @@
-// BatchExtractor: runs one DocumentExtractor — a compiled pattern plan or
-// a whole algebra query — over a Corpus on a fixed work-stealing thread
-// pool. The corpus is cut into byte-balanced shards
-// (≈ oversubscription × threads of them, so stealing can rebalance skew);
-// each worker extracts its shard's documents into slots indexed by
-// document position. Output is therefore deterministic and independent of
-// the thread count: per_doc[i] is the sorted ⟦γ⟧_{d_i}.
+// BatchExtractor: runs a per-document job — one DocumentExtractor (a
+// compiled pattern plan or a whole algebra query) or a MultiQueryExtractor
+// fleet — over a document source on a fixed work-stealing thread pool.
+// The source is an in-memory Corpus, or a persisted segment whose posting
+// index narrows the batch to candidate documents. Every entry point runs
+// the same shard loop: the documents to extract are cut into
+// byte-balanced shards (≈ 4 × threads of them, so stealing can rebalance
+// skew), each worker extracts its shard through its own scratch, and the
+// calling thread receives completed shards strictly in corpus order. The
+// streaming entry points hand each shard to a consumer; the collecting
+// ones gather the stream into one result. Output is therefore
+// deterministic and independent of the thread count: per_doc[i] is the
+// sorted ⟦γ⟧_{d_i}.
 #ifndef SPANNERS_ENGINE_BATCH_EXTRACTOR_H_
 #define SPANNERS_ENGINE_BATCH_EXTRACTOR_H_
 
@@ -28,8 +34,6 @@ namespace engine {
 struct BatchOptions {
   /// Worker threads; 0 = hardware concurrency.
   size_t num_threads = 0;
-  /// Shards ≈ num_threads × oversubscription (skew insurance).
-  size_t shard_oversubscription = 4;
   /// Never shard finer than this many documents.
   size_t min_docs_per_shard = 16;
 };
@@ -52,7 +56,7 @@ struct MultiBatchResult {
   size_t shards = 0;
 };
 
-/// Accounting of one ExtractIndexed{,Multi} call: how much the posting
+/// Accounting of one batch over a persisted segment: how much the posting
 /// index narrowed the scan, what the lookup cost, and the mmap paging the
 /// candidate materialization incurred. Mirrored into obs index.* metrics.
 struct IndexedStats {
@@ -77,6 +81,51 @@ struct IndexedStats {
   }
 };
 
+/// Where a batch's documents come from: an in-memory Corpus (implicitly
+/// convertible), or a persisted segment. Segment documents are copied out
+/// of the mapping (SegmentStore::MaterializeDoc) as they are extracted, so
+/// results never dangle after the store closes. With a posting index only
+/// candidate documents are extracted: the union of every plan's
+/// NgramIndex::Candidates, or every document when some plan cannot be
+/// narrowed (or the job is a query). Candidates are a superset of the
+/// matching documents and each still runs the full gate cascade, so the
+/// output is byte-identical, for every thread count, to extracting
+/// store.ReadAll(); non-candidates simply have no mappings. A segment
+/// batch fills *stats (when given). Everything is borrowed and must
+/// outlive the call.
+class DocumentSource {
+ public:
+  // Implicit, so every Extract* call still takes a Corpus directly.
+  DocumentSource(const Corpus& corpus) : corpus_(&corpus) {}
+  DocumentSource(const storage::SegmentStore& store,
+                 const storage::NgramIndex* index,
+                 IndexedStats* stats = nullptr)
+      : store_(&store), index_(index), stats_(stats) {}
+
+  size_t num_docs() const {
+    return corpus_ != nullptr ? corpus_->size() : store_->num_docs();
+  }
+  /// Document i: a reference into the corpus, or a copy out of the
+  /// segment held in *held (valid until *held changes).
+  const Document& doc(size_t i, Document* held) const {
+    if (corpus_ != nullptr) return (*corpus_)[i];
+    *held = store_->MaterializeDoc(i);
+    return *held;
+  }
+
+ private:
+  friend class BatchExtractor;
+  size_t doc_bytes(size_t i) const {
+    return corpus_ != nullptr ? (*corpus_)[i].text().size()
+                              : store_->doc_bytes(i);
+  }
+
+  const Corpus* corpus_ = nullptr;
+  const storage::SegmentStore* store_ = nullptr;
+  const storage::NgramIndex* index_ = nullptr;
+  IndexedStats* stats_ = nullptr;
+};
+
 class BatchExtractor {
  public:
   explicit BatchExtractor(BatchOptions options = {});
@@ -94,26 +143,16 @@ class BatchExtractor {
   void set_cancel(CancelToken* cancel) { cancel_ = cancel; }
   CancelToken* cancel() const { return cancel_; }
 
-  /// Extracts every document of `corpus` under `extractor` — an
+  /// Extracts every document of `source` under `extractor` — an
   /// ExtractionPlan or a query::CompiledQuery. Blocking; safe to call
   /// repeatedly (the pool is reused across batches — each worker's
   /// extraction arenas and mapping pool are Reset()/recycled between
-  /// documents, never freed, so steady-state batches perform no evaluator
-  /// heap allocation). The extractor and corpus must outlive the call
-  /// (they are borrowed, not copied). Not safe to call concurrently on the
-  /// same BatchExtractor: the per-worker scratch is reused across calls.
+  /// documents, never freed). The extractor and source must outlive the
+  /// call (they are borrowed, not copied). Not safe to call concurrently
+  /// on the same BatchExtractor: the per-worker scratch is reused across
+  /// calls.
   BatchResult Extract(const DocumentExtractor& extractor,
-                      const Corpus& corpus);
-
-  /// Like Extract but refills a caller-owned result, recycling the
-  /// previous batch's per-document vectors and pooled mapping storage
-  /// through the worker scratch. Under repeated batches (the serving
-  /// loop), steady-state pattern plans allocate nothing at all — arenas,
-  /// result slots and mapping entry vectors have all reached their
-  /// high-water marks — and algebra queries keep only small per-document
-  /// operator state (e.g. the join's build-side vector).
-  void ExtractInto(const DocumentExtractor& extractor, const Corpus& corpus,
-                   BatchResult* result);
+                      const DocumentSource& source);
 
   /// Aggregate of a streamed extraction (ExtractStream's return value).
   struct StreamStats {
@@ -125,7 +164,9 @@ class BatchExtractor {
   /// Receives one completed shard: the sorted mappings of corpus documents
   /// [doc_begin, doc_end), with per_doc[i] belonging to document
   /// doc_begin + i. The slice may be consumed destructively (moved from);
-  /// its storage is released after the call returns.
+  /// its storage is released after the call returns. Consecutive shards
+  /// cover consecutive document ranges; documents outside every shard (an
+  /// index found no candidate at all) have no mappings.
   using ShardConsumer = std::function<void(
       size_t doc_begin, size_t doc_end,
       std::vector<std::vector<Mapping>>& per_doc)>;
@@ -133,29 +174,23 @@ class BatchExtractor {
   /// Streamed variant of Extract: `consumer` is invoked once per shard,
   /// in corpus order, on the calling thread, while later shards are still
   /// extracting — output never materializes the whole BatchResult, so peak
-  /// memory is bounded by the in-flight window (≈ threads ×
-  /// oversubscription shards) instead of the corpus. The emitted stream
-  /// is byte-identical for every thread count: shard boundaries and
-  /// per-document mapping order do not depend on scheduling. Same
-  /// borrowing and non-reentrancy rules as Extract.
+  /// memory is bounded by the in-flight window (≈ 2 × threads shards)
+  /// instead of the corpus. The emitted stream is byte-identical for every
+  /// thread count: shard boundaries and per-document mapping order do not
+  /// depend on scheduling. Same borrowing and non-reentrancy rules as
+  /// Extract.
   StreamStats ExtractStream(const DocumentExtractor& extractor,
-                            const Corpus& corpus,
+                            const DocumentSource& source,
                             const ShardConsumer& consumer);
 
-  /// Runs a whole plan fleet over the corpus in a single pass: each
+  /// Runs a whole plan fleet over the source in a single pass: each
   /// document is scanned once by the fleet's shared Aho–Corasick gate and
   /// extracted under every surviving plan, instead of one full corpus
   /// sweep per plan. Output per_plan[p] is byte-identical — for every
-  /// thread count — to Extract(fleet.plan(p), corpus). Same borrowing and
+  /// thread count — to Extract(fleet.plan(p), source). Same borrowing and
   /// non-reentrancy rules as Extract.
   MultiBatchResult ExtractMulti(const MultiQueryExtractor& fleet,
-                                const Corpus& corpus);
-
-  /// Like ExtractMulti but refills a caller-owned result, recycling the
-  /// previous batch's vectors (the serving-loop steady state allocates
-  /// nothing).
-  void ExtractMultiInto(const MultiQueryExtractor& fleet,
-                        const Corpus& corpus, MultiBatchResult* result);
+                                const DocumentSource& source);
 
   /// Receives one completed multi-query shard: per_plan[p][i - doc_begin]
   /// is the sorted mapping set of corpus document i under plan p. The
@@ -170,39 +205,26 @@ class BatchExtractor {
   /// every plan (matched_documents counts documents matched by at least
   /// one plan). Byte-identical for every thread count.
   StreamStats ExtractMultiStream(const MultiQueryExtractor& fleet,
-                                 const Corpus& corpus,
+                                 const DocumentSource& source,
                                  const MultiShardConsumer& consumer);
 
-  /// Index-accelerated Extract over a persisted segment: the plan's
-  /// prefilter requirement compiles to posting-list intersections
-  /// (NgramIndex::Candidates) and ONLY candidate documents are
-  /// materialized out of the mapping and extracted — non-candidates keep
-  /// their (provably correct) empty per_doc slots without ever being
-  /// touched. The result is byte-identical, for every thread count, to
-  /// Extract(plan, store.ReadAll()): candidates are a superset of the
-  /// matching documents and every survivor still runs the full gate
-  /// cascade. `index` may be null (or unable to narrow the plan), in
-  /// which case every document is scanned. Extracted documents are
-  /// copied out of the mapping (SegmentStore::MaterializeDoc), so results
-  /// never dangle after the store closes.
-  BatchResult ExtractIndexed(const ExtractionPlan& plan,
-                             const storage::SegmentStore& store,
-                             const storage::NgramIndex* index,
-                             IndexedStats* stats = nullptr);
-
-  /// Indexed ExtractMulti: candidates are the UNION of every resident
-  /// plan's candidate set (any plan that the index cannot narrow widens
-  /// the union to the whole store), and each candidate document runs the
-  /// fleet's normal shared-AC cascade. per_plan[p] is byte-identical to
-  /// Extract(fleet.plan(p), store.ReadAll()) for every thread count.
+  /// ExtractMulti over a persisted segment, narrowed by `index` (may be
+  /// null): shorthand for ExtractMulti(fleet, {store, index, stats}).
   MultiBatchResult ExtractIndexedMulti(const MultiQueryExtractor& fleet,
                                        const storage::SegmentStore& store,
                                        const storage::NgramIndex* index,
                                        IndexedStats* stats = nullptr);
 
  private:
-  /// Shard sizing shared by Extract and ExtractStream.
-  ShardingOptions MakeShardingOptions() const;
+  /// The per-document work: one extractor, or a whole fleet.
+  struct Job;
+
+  /// The shard loop behind every entry point: picks the documents to
+  /// extract (index candidates or all), shards them by bytes, extracts
+  /// each shard on the pool and hands shards to `consumer` in corpus
+  /// order, per plan (a single extractor is plan 0).
+  StreamStats Drive(const Job& job, const DocumentSource& source,
+                    const MultiShardConsumer& consumer);
 
   BatchOptions options_;
   ThreadPool pool_;

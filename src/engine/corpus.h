@@ -6,6 +6,7 @@
 #define SPANNERS_ENGINE_CORPUS_H_
 
 #include <cstddef>
+#include <functional>
 #include <iosfwd>
 #include <string_view>
 #include <vector>
@@ -74,11 +75,16 @@ struct ShardingOptions {
   size_t min_docs_per_shard = 16;
 };
 
-/// Partitions [0, corpus.size()) into at most `options.max_shards`
-/// contiguous shards, balanced by document bytes (a shard closes once it
-/// holds ≥ total/max_shards bytes and ≥ min_docs_per_shard documents).
-/// Every document lands in exactly one shard; shards are returned in
-/// corpus order. Empty corpus → no shards.
+/// Partitions [0, count) into at most `options.max_shards` contiguous
+/// shards, balanced by item size (a shard closes once it holds
+/// ≥ total/max_shards bytes and ≥ min_docs_per_shard items). Every item
+/// lands in exactly one shard; shards are returned in order. No items →
+/// no shards.
+std::vector<Shard> ShardBySize(size_t count,
+                               const std::function<size_t(size_t)>& size_of,
+                               const ShardingOptions& options);
+
+/// ShardBySize over the corpus's document sizes, in corpus order.
 std::vector<Shard> ShardCorpus(const Corpus& corpus,
                                const ShardingOptions& options);
 

@@ -136,6 +136,10 @@ class DocumentExtractor {
   /// storage and sort buffers; one scratch per worker thread.
   virtual void ExtractSortedInto(const Document& doc, PlanScratch* scratch,
                                  std::vector<Mapping>* out) const = 0;
+
+  /// A literal requirement every matching document meets (what a posting
+  /// index narrows a batch by), or null when there is none to offer.
+  virtual const Prefilter* required_literals() const { return nullptr; }
 };
 
 class ExtractionPlan : public DocumentExtractor {
@@ -167,6 +171,7 @@ class ExtractionPlan : public DocumentExtractor {
   /// The literal requirement gating this plan (match-all when it cannot
   /// prune) and the lazy-DFA membership gate (never null).
   const Prefilter& prefilter() const { return prefilter_; }
+  const Prefilter* required_literals() const override { return &prefilter_; }
   const LazyDfa& lazy_dfa() const { return *dfa_; }
 
   /// Turns the prefilter + lazy-DFA document gate off (on by default).

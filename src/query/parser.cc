@@ -1,8 +1,11 @@
 #include "query/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 #include <vector>
+
+#include "rgx/parser.h"
 
 namespace spanners {
 namespace query {
@@ -16,7 +19,8 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Result<ExprPtr> Parse() {
-    SPANNERS_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
+    size_t height = 0;
+    SPANNERS_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr(0, &height));
     SkipSpace();
     if (pos_ != text_.size())
       return Error("trailing input after expression");
@@ -85,7 +89,18 @@ class Parser {
     return out;
   }
 
-  Result<ExprPtr> ParseExpr() {
+  Status TooDeep() const {
+    return Error("query nests deeper than " +
+                 std::to_string(kMaxNestingDepth) + " levels");
+  }
+
+  // One operator and its operands. `depth` is the number of operators
+  // open around it; *height receives the levels of the tree it builds (a
+  // leaf is 1). Both stay within kMaxNestingDepth, because compiling the
+  // tree recurses once per level.
+  Result<ExprPtr> ParseExpr(size_t depth, size_t* height) {
+    if (depth == kMaxNestingDepth) return TooDeep();
+    *height = 1;
     SPANNERS_ASSIGN_OR_RETURN(std::string head, ParseIdent());
     SPANNERS_RETURN_NOT_OK(Expect('('));
     if (head == "rgx") {
@@ -105,7 +120,13 @@ class Parser {
     if (head == "union" || head == "join") {
       std::vector<ExprPtr> parts;
       do {
-        SPANNERS_ASSIGN_OR_RETURN(ExprPtr part, ParseExpr());
+        size_t part_height = 0;
+        SPANNERS_ASSIGN_OR_RETURN(ExprPtr part,
+                                  ParseExpr(depth + 1, &part_height));
+        // The operands fold left: each one after the first adds a level.
+        *height = parts.empty() ? part_height
+                                : std::max(*height, part_height) + 1;
+        if (*height > kMaxNestingDepth) return TooDeep();
         parts.push_back(std::move(part));
       } while (Consume(','));
       SPANNERS_RETURN_NOT_OK(Expect(')'));
@@ -118,7 +139,8 @@ class Parser {
       return e;
     }
     if (head == "project") {
-      SPANNERS_ASSIGN_OR_RETURN(ExprPtr input, ParseExpr());
+      SPANNERS_ASSIGN_OR_RETURN(ExprPtr input, ParseExpr(depth + 1, height));
+      if (++*height > kMaxNestingDepth) return TooDeep();
       VarSet keep;
       while (Consume(',')) {
         SPANNERS_ASSIGN_OR_RETURN(std::string name, ParseIdent());
@@ -128,7 +150,8 @@ class Parser {
       return SpannerExpr::Project(std::move(input), std::move(keep));
     }
     if (head == "eq") {
-      SPANNERS_ASSIGN_OR_RETURN(ExprPtr input, ParseExpr());
+      SPANNERS_ASSIGN_OR_RETURN(ExprPtr input, ParseExpr(depth + 1, height));
+      if (++*height > kMaxNestingDepth) return TooDeep();
       SPANNERS_RETURN_NOT_OK(Expect(','));
       SPANNERS_ASSIGN_OR_RETURN(std::string x, ParseIdent());
       SPANNERS_RETURN_NOT_OK(Expect(','));

@@ -5,6 +5,7 @@
 #ifndef SPANNERS_RGX_AST_H_
 #define SPANNERS_RGX_AST_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -44,6 +45,10 @@ class RgxNode {
 
   /// Number of AST nodes (size measure used in benchmarks).
   size_t NodeCount() const;
+
+  /// Levels of this tree, a leaf being 1: how deep every recursive pass
+  /// over it goes.
+  size_t depth() const { return depth_; }
 
   // ---- Factories ----
 
@@ -88,12 +93,16 @@ class RgxNode {
       : kind_(kind),
         chars_(chars),
         var_(var),
-        children_(std::move(children)) {}
+        children_(std::move(children)) {
+    for (const RgxPtr& c : children_)
+      depth_ = std::max(depth_, c->depth_ + 1);
+  }
 
   RgxKind kind_;
   CharSet chars_;
   VarId var_ = 0;
   std::vector<RgxPtr> children_;
+  size_t depth_ = 1;
 };
 
 }  // namespace spanners

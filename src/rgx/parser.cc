@@ -50,6 +50,11 @@ class Parser {
                                    std::move(msg));
   }
 
+  Status TooDeep() const {
+    return Error("pattern nests deeper than " +
+                 std::to_string(kMaxNestingDepth) + " levels");
+  }
+
   Result<RgxPtr> ParseAlt() {
     std::vector<RgxPtr> parts;
     SPANNERS_ASSIGN_OR_RETURN(RgxPtr first, ParseCat());
@@ -58,7 +63,18 @@ class Parser {
       SPANNERS_ASSIGN_OR_RETURN(RgxPtr next, ParseCat());
       parts.push_back(std::move(next));
     }
-    return RgxNode::Disj(std::move(parts));
+    RgxPtr alt = RgxNode::Disj(std::move(parts));
+    if (alt->depth() > kMaxNestingDepth) return TooDeep();
+    return alt;
+  }
+
+  // A group or variable body: one more level of parser recursion.
+  Result<RgxPtr> ParseNested() {
+    if (open_ == kMaxNestingDepth) return TooDeep();
+    ++open_;
+    Result<RgxPtr> inner = ParseAlt();
+    --open_;
+    return inner;
   }
 
   Result<RgxPtr> ParseCat() {
@@ -82,6 +98,7 @@ class Parser {
       } else {
         break;
       }
+      if (atom->depth() > kMaxNestingDepth) return TooDeep();
     }
     return atom;
   }
@@ -91,7 +108,7 @@ class Parser {
     char c = Peek();
     if (c == '(') {
       Next();
-      SPANNERS_ASSIGN_OR_RETURN(RgxPtr inner, ParseAlt());
+      SPANNERS_ASSIGN_OR_RETURN(RgxPtr inner, ParseNested());
       if (!Accept(')')) return Error("expected ')'");
       return inner;
     }
@@ -117,7 +134,7 @@ class Parser {
       if (!AtEnd() && Peek() == '{') {
         std::string name(input_.substr(start, pos_ - start));
         Next();  // '{'
-        SPANNERS_ASSIGN_OR_RETURN(RgxPtr body, ParseAlt());
+        SPANNERS_ASSIGN_OR_RETURN(RgxPtr body, ParseNested());
         if (!Accept('}')) return Error("expected '}' closing variable");
         return RgxNode::Var(name, std::move(body));
       }
@@ -202,6 +219,7 @@ class Parser {
 
   std::string_view input_;
   size_t pos_ = 0;
+  size_t open_ = 0;  // groups and variable braces currently open
 };
 
 }  // namespace

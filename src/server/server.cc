@@ -963,88 +963,48 @@ void Server::ExecuteExtractBatch(const WorkItem& item) {
     for (std::string& h : SessionHeaderRows(fleet, item.format))
       push_row(std::move(h));
 
+  // One bounded-window streaming pass over the in-memory corpus or the
+  // index-narrowed segment: shards arrive in corpus order while later
+  // shards extract, and the EmitRowsChunk watermark block propagates
+  // backpressure into shard production.
+  engine::IndexedStats index_stats;
+  const engine::DocumentSource source =
+      store_.has_value()
+          ? engine::DocumentSource(*store_,
+                                   index_.has_value() ? &*index_ : nullptr,
+                                   &index_stats)
+          : engine::DocumentSource(corpus_);
   std::string row;
-  uint64_t total_mappings = 0;
-  size_t matched_docs = 0;
+  Document held;
   batch_.set_cancel(item.cancel.get());
-  if (store_.has_value()) {
-    engine::IndexedStats index_stats;
-    const storage::NgramIndex* index =
-        index_.has_value() ? &*index_ : nullptr;
-    if (single) {
-      const engine::BatchResult result =
-          batch_.ExtractIndexed(fleet.plan(0), *store_, index, &index_stats);
-      const VarSet& vars = fleet.plan(0).vars();
-      for (size_t i = 0; i < result.per_doc.size() && !dead; ++i) {
-        if (result.per_doc[i].empty()) continue;
-        const Document doc = store_->MaterializeDoc(i);
-        for (const Mapping& m : result.per_doc[i]) {
-          row.clear();
-          engine::AppendMappingRow(&row, item.format, i, m, vars, doc);
-          row.pop_back();
-          push_row(row);
-        }
-      }
-      total_mappings = result.total_mappings;
-      matched_docs = result.MatchedDocuments();
-    } else {
-      const engine::MultiBatchResult result =
-          batch_.ExtractIndexedMulti(fleet, *store_, index, &index_stats);
-      for (size_t i = 0; i < store_->num_docs() && !dead; ++i) {
-        bool matched = false;
-        for (size_t p = 0; p < result.per_plan.size(); ++p)
-          matched = matched || !result.per_plan[p].per_doc[i].empty();
-        if (!matched) continue;
-        ++matched_docs;
-        const Document doc = store_->MaterializeDoc(i);
-        for (size_t p = 0; p < result.per_plan.size(); ++p) {
-          const VarSet& vars = fleet.plan(p).vars();
-          for (const Mapping& m : result.per_plan[p].per_doc[i]) {
-            row.clear();
-            engine::AppendFleetMappingRow(&row, item.format, p, i, m, vars,
-                                          doc);
-            row.pop_back();
-            push_row(row);
+  const engine::BatchExtractor::StreamStats stats = batch_.ExtractMultiStream(
+      fleet, source,
+      [&](size_t doc_begin, size_t doc_end,
+          std::vector<std::vector<std::vector<Mapping>>>& per_plan) {
+        if (dead) return;
+        for (size_t i = doc_begin; i < doc_end; ++i) {
+          const Document* doc = nullptr;
+          for (size_t p = 0; p < per_plan.size(); ++p) {
+            const VarSet& vars = fleet.plan(p).vars();
+            for (const Mapping& m : per_plan[p][i - doc_begin]) {
+              if (doc == nullptr) doc = &source.doc(i, &held);
+              row.clear();
+              if (single) {
+                engine::AppendMappingRow(&row, item.format, i, m, vars, *doc);
+              } else {
+                engine::AppendFleetMappingRow(&row, item.format, p, i, m,
+                                              vars, *doc);
+              }
+              row.pop_back();
+              push_row(row);
+            }
           }
         }
-      }
-      total_mappings = result.total_mappings;
-    }
-    {
-      std::lock_guard<std::mutex> lk(indexed_stats_mu_);
-      have_indexed_stats_ = true;
-      last_indexed_stats_ = index_stats;
-    }
-  } else {
-    // In-memory corpus: the bounded-window streaming path — shards arrive
-    // in corpus order while later shards extract, and the EmitRowsChunk
-    // watermark block propagates backpressure into shard production.
-    const engine::BatchExtractor::StreamStats stats =
-        batch_.ExtractMultiStream(
-            fleet, corpus_,
-            [&](size_t doc_begin, size_t doc_end,
-                std::vector<std::vector<std::vector<Mapping>>>& per_plan) {
-              if (dead) return;
-              for (size_t i = doc_begin; i < doc_end; ++i) {
-                for (size_t p = 0; p < per_plan.size(); ++p) {
-                  const VarSet& vars = fleet.plan(p).vars();
-                  for (const Mapping& m : per_plan[p][i - doc_begin]) {
-                    row.clear();
-                    if (single) {
-                      engine::AppendMappingRow(&row, item.format, i, m, vars,
-                                               corpus_[i]);
-                    } else {
-                      engine::AppendFleetMappingRow(&row, item.format, p, i,
-                                                    m, vars, corpus_[i]);
-                    }
-                    row.pop_back();
-                    push_row(row);
-                  }
-                }
-              }
-            });
-    total_mappings = stats.total_mappings;
-    matched_docs = stats.matched_documents;
+      });
+  if (store_.has_value()) {
+    std::lock_guard<std::mutex> lk(indexed_stats_mu_);
+    have_indexed_stats_ = true;
+    last_indexed_stats_ = index_stats;
   }
   batch_.set_cancel(nullptr);
 
@@ -1065,9 +1025,9 @@ void Server::ExecuteExtractBatch(const WorkItem& item) {
     dead = true;
   if (dead) return;
   EmitLine(item.conn, OkPrefix(item.id) + ",\"done\":true,\"mappings\":" +
-                          std::to_string(total_mappings) +
-                          ",\"matched_docs\":" + std::to_string(matched_docs) +
-                          "}");
+                          std::to_string(stats.total_mappings) +
+                          ",\"matched_docs\":" +
+                          std::to_string(stats.matched_documents) + "}");
 }
 
 bool Server::EmitLine(const std::shared_ptr<Connection>& conn,

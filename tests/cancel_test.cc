@@ -10,6 +10,8 @@
 // request into ResourceExhausted.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +34,8 @@
 #include "rgx/parser.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "storage/ngram_index.h"
+#include "storage/segment.h"
 #include "workload/generators.h"
 
 namespace spanners {
@@ -360,6 +364,33 @@ TEST(CancelPlanTest, PreTrippedTokenStopsBatchBetweenDocuments) {
   // Workers bail between documents once tripped; the partial result is
   // contractually meaningless but must be smaller than the full run.
   EXPECT_LT(cancelled.total_mappings, base.total_mappings);
+
+  // The streamed entry points, for one plan and for a fleet, over the
+  // in-memory corpus and over an indexed segment, share that poll.
+  const std::string path = ::testing::TempDir() + "spanners_cancel_test_" +
+                           std::to_string(::getpid()) + ".seg";
+  ASSERT_TRUE(storage::SegmentStore::Write(corpus, path).ok());
+  Result<storage::SegmentStore> store = storage::SegmentStore::Open(path);
+  std::remove(path.c_str());  // the mapping outlives the name
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const storage::NgramIndex index = storage::NgramIndex::Build(*store);
+  const engine::MultiQueryExtractor fleet(
+      {std::make_shared<const ExtractionPlan>(MustCompile(plan.pattern()))});
+  for (const engine::DocumentSource& source :
+       {engine::DocumentSource(corpus),
+        engine::DocumentSource(*store, &index)}) {
+    batch.set_cancel(&tok);
+    const BatchExtractor::StreamStats single = batch.ExtractStream(
+        plan, source,
+        [](size_t, size_t, std::vector<std::vector<Mapping>>&) {});
+    const BatchExtractor::StreamStats multi = batch.ExtractMultiStream(
+        fleet, source,
+        [](size_t, size_t, std::vector<std::vector<std::vector<Mapping>>>&) {
+        });
+    batch.set_cancel(nullptr);
+    EXPECT_LT(single.total_mappings, base.total_mappings);
+    EXPECT_LT(multi.total_mappings, base.total_mappings);
+  }
 }
 
 // ---- server: deadline, memory cap, disconnect -----------------------

@@ -144,6 +144,26 @@ TEST(PlanTest, CompileErrorPropagates) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+// The parser's nesting limit exists so every later pass stays on the
+// stack: the deepest patterns it admits must still compile and extract.
+TEST(PlanTest, DeepestAcceptedPatternsCompileAndExtract) {
+  std::string starred_groups = "a";
+  for (size_t i = 1; i < kMaxNestingDepth; ++i)
+    starred_groups = "(" + starred_groups + ")*";
+  const std::string patterns[] = {
+      "x{" + std::string(kMaxNestingDepth - 1, '(') + "a*" +
+          std::string(kMaxNestingDepth - 1, ')') + "}",
+      "x{a" + std::string(kMaxNestingDepth - 2, '*') + "}",
+      starred_groups,
+  };
+  for (const std::string& pattern : patterns) {
+    Result<ExtractionPlan> plan = ExtractionPlan::Compile(pattern);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(plan->Extract(Document("aa")).size(), 1u);
+    EXPECT_EQ(plan->Extract(Document("b")).size(), 0u);
+  }
+}
+
 TEST(PlanTest, AnalysisFlags) {
   ExtractionPlan p = ExtractionPlan::Compile("x{a*}y{b*}").ValueOrDie();
   EXPECT_TRUE(p.info().sequential_va);

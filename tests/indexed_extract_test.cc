@@ -1,5 +1,5 @@
 // Tests for index-gated batch extraction over a persisted segment: the
-// acceptance invariant is byte-identity — ExtractIndexed restricted to
+// acceptance invariant is byte-identity — extraction restricted to
 // posting-list candidates produces exactly the full scan's output, across
 // thread counts {1, 2, 8}, for single plans and fleets, with or without
 // an index, whether or not the index can narrow the plan.
@@ -61,6 +61,46 @@ std::unique_ptr<PersistedCorpus> Persist(const Corpus& corpus,
   return out;
 }
 
+// Reassembles a streamed run into per-document results (per plan),
+// checking that shards arrive in corpus order over adjoining ranges.
+std::vector<std::vector<std::vector<Mapping>>> StreamedMulti(
+    BatchExtractor& extractor, const MultiQueryExtractor& fleet,
+    const DocumentSource& source) {
+  std::vector<std::vector<std::vector<Mapping>>> per_plan(
+      fleet.num_plans(), std::vector<std::vector<Mapping>>(source.num_docs()));
+  size_t next = 0;
+  extractor.ExtractMultiStream(
+      fleet, source,
+      [&](size_t begin, size_t end,
+          std::vector<std::vector<std::vector<Mapping>>>& slice) {
+        EXPECT_EQ(begin, next);
+        next = end;
+        for (size_t p = 0; p < slice.size(); ++p) {
+          EXPECT_EQ(slice[p].size(), end - begin);
+          for (size_t i = begin; i < end; ++i)
+            per_plan[p][i] = std::move(slice[p][i - begin]);
+        }
+      });
+  return per_plan;
+}
+
+std::vector<std::vector<Mapping>> Streamed(BatchExtractor& extractor,
+                                           const DocumentExtractor& plan,
+                                           const DocumentSource& source) {
+  std::vector<std::vector<Mapping>> per_doc(source.num_docs());
+  size_t next = 0;
+  extractor.ExtractStream(
+      plan, source,
+      [&](size_t begin, size_t end, std::vector<std::vector<Mapping>>& slice) {
+        EXPECT_EQ(begin, next);
+        EXPECT_EQ(slice.size(), end - begin);
+        next = end;
+        for (size_t i = begin; i < end; ++i)
+          per_doc[i] = std::move(slice[i - begin]);
+      });
+  return per_doc;
+}
+
 TEST(IndexedExtractTest, ByteIdenticalToFullScanAcrossThreads) {
   workload::NeedleOptions o;
   o.documents = 500;
@@ -80,8 +120,8 @@ TEST(IndexedExtractTest, ByteIdenticalToFullScanAcrossThreads) {
     bo.min_docs_per_shard = 4;
     BatchExtractor extractor(bo);
     IndexedStats stats;
-    BatchResult got = extractor.ExtractIndexed(plan, *persisted->store,
-                                               &*persisted->index, &stats);
+    BatchResult got = extractor.Extract(
+        plan, DocumentSource(*persisted->store, &*persisted->index, &stats));
     EXPECT_EQ(got.per_doc, want.per_doc) << "threads " << threads;
     EXPECT_EQ(got.total_mappings, want.total_mappings);
     EXPECT_TRUE(stats.narrowed);
@@ -89,6 +129,15 @@ TEST(IndexedExtractTest, ByteIdenticalToFullScanAcrossThreads) {
     EXPECT_EQ(stats.corpus_docs, corpus.size());
     EXPECT_GT(stats.postings_touched, 0u);
     EXPECT_LT(stats.CandidateRatio(), 1.0);
+
+    // The streamed form over the same source, and over the in-memory
+    // corpus, delivers exactly the collected result.
+    EXPECT_EQ(Streamed(extractor, plan,
+                       DocumentSource(*persisted->store, &*persisted->index)),
+              want.per_doc)
+        << "threads " << threads;
+    EXPECT_EQ(Streamed(extractor, plan, corpus), want.per_doc)
+        << "threads " << threads;
   }
 }
 
@@ -106,8 +155,8 @@ TEST(IndexedExtractTest, NullIndexFullScanOverStoreIsIdentical) {
     bo.num_threads = threads;
     bo.min_docs_per_shard = 4;
     IndexedStats stats;
-    BatchResult got = BatchExtractor(bo).ExtractIndexed(
-        plan, *persisted->store, /*index=*/nullptr, &stats);
+    BatchResult got = BatchExtractor(bo).Extract(
+        plan, DocumentSource(*persisted->store, /*index=*/nullptr, &stats));
     EXPECT_EQ(got.per_doc, want.per_doc) << "threads " << threads;
     EXPECT_FALSE(stats.narrowed);
     EXPECT_EQ(stats.candidate_docs, corpus.size());
@@ -127,8 +176,8 @@ TEST(IndexedExtractTest, UnnarrowablePlanScansEverythingIdentically) {
 
   BatchResult want = BatchExtractor().Extract(plan, corpus);
   IndexedStats stats;
-  BatchResult got = BatchExtractor().ExtractIndexed(
-      plan, *persisted->store, &*persisted->index, &stats);
+  BatchResult got = BatchExtractor().Extract(
+      plan, DocumentSource(*persisted->store, &*persisted->index, &stats));
   EXPECT_EQ(got.per_doc, want.per_doc);
   EXPECT_FALSE(stats.narrowed);
   EXPECT_EQ(stats.candidate_docs, corpus.size());
@@ -169,6 +218,18 @@ TEST(IndexedExtractTest, FleetByteIdenticalToInMemoryAcrossThreads) {
     // The union of 10 plans' candidates still narrows a 5%-match corpus.
     EXPECT_TRUE(stats.narrowed);
     EXPECT_LT(stats.candidate_docs, stats.corpus_docs);
+
+    // Streamed over the indexed segment and over the in-memory corpus.
+    BatchExtractor extractor(bo);
+    for (const DocumentSource& source :
+         {DocumentSource(*persisted->store, &*persisted->index),
+          DocumentSource(corpus)}) {
+      const std::vector<std::vector<std::vector<Mapping>>> streamed =
+          StreamedMulti(extractor, fleet, source);
+      for (size_t p = 0; p < want.per_plan.size(); ++p)
+        EXPECT_EQ(streamed[p], want.per_plan[p].per_doc)
+            << "plan " << p << " threads " << threads;
+    }
   }
 }
 
@@ -185,8 +246,9 @@ TEST(IndexedExtractTest, EmptyFleetAndEmptyCorpus) {
   Corpus empty;
   auto persisted_empty = Persist(empty, "edge_empty");
   ExtractionPlan plan = ExtractionPlan::Compile(".*abc(x{d*}).*").ValueOrDie();
-  BatchResult br = BatchExtractor().ExtractIndexed(
-      plan, *persisted_empty->store, &*persisted_empty->index);
+  BatchResult br = BatchExtractor().Extract(
+      plan,
+      DocumentSource(*persisted_empty->store, &*persisted_empty->index));
   EXPECT_TRUE(br.per_doc.empty());
   EXPECT_EQ(br.total_mappings, 0u);
 }
@@ -205,8 +267,8 @@ TEST(IndexedExtractTest, ResultsRemainValidAfterStoreAndIndexClose) {
   std::vector<std::pair<size_t, Document>> matched_docs;
   {
     auto persisted = Persist(corpus, "lifetime");
-    got = BatchExtractor().ExtractIndexed(plan, *persisted->store,
-                                          &*persisted->index);
+    got = BatchExtractor().Extract(
+        plan, DocumentSource(*persisted->store, &*persisted->index));
     for (size_t i = 0; i < got.per_doc.size(); ++i)
       if (!got.per_doc[i].empty())
         matched_docs.emplace_back(i, persisted->store->MaterializeDoc(i));

@@ -15,6 +15,7 @@
 #include "query/compile.h"
 #include "query/expr.h"
 #include "query/parser.h"
+#include "rgx/parser.h"
 #include "rgx/printer.h"
 #include "rgx/reference_eval.h"
 #include "rules/rule_eval.h"
@@ -35,6 +36,23 @@ ExprPtr MustPattern(std::string_view pattern) {
   auto e = SpannerExpr::Pattern(pattern);
   EXPECT_TRUE(e.ok()) << e.status().ToString();
   return std::move(e).value();
+}
+
+/// `n` nested projections around rgx("x{a}").
+std::string NestedProjects(size_t n) {
+  std::string q;
+  for (size_t i = 0; i < n; ++i) q += "project(";
+  q += "rgx(\"x{a}\")";
+  for (size_t i = 0; i < n; ++i) q += ",x)";
+  return q;
+}
+
+/// op(rgx("x{a}"), …) with `n` operands.
+std::string Chain(const std::string& op, size_t n) {
+  std::string q = op + "(";
+  for (size_t i = 0; i < n; ++i)
+    q += i == 0 ? "rgx(\"x{a}\")" : ",rgx(\"x{a}\")";
+  return q + ")";
 }
 
 ExprPtr MustParse(std::string_view text) {
@@ -177,6 +195,30 @@ TEST(QueryParserTest, Errors) {
   EXPECT_FALSE(ParseQuery("eq(rgx(\"x{a}\"), x, missing)").ok());
   EXPECT_FALSE(ParseQuery("rgx(\"a\") trailing").ok());
   EXPECT_FALSE(ParseQuery("rgx(\"[\")").ok());  // RGX error propagates
+  // Nesting past the limit is refused with a clean error, not a stack
+  // overflow: deep operators, and long union/join chains (which fold into
+  // a left-deep tree).
+  for (const std::string& deep :
+       {NestedProjects(50000), NestedProjects(kMaxNestingDepth),
+        Chain("union", kMaxNestingDepth + 1),
+        Chain("join", 50000)}) {
+    Result<ExprPtr> r = ParseQuery(deep);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("nests deeper than"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+// The deepest queries the limit admits parse, compile and extract.
+TEST(QueryParserTest, DeepestAcceptedNestingCompilesAndExtracts) {
+  for (const std::string& deepest :
+       {NestedProjects(kMaxNestingDepth - 1),
+        Chain("union", kMaxNestingDepth)}) {
+    CompiledQuery q = MustCompile(MustParse(deepest));
+    EXPECT_EQ(q.Extract(Document("a")).size(), 1u);
+  }
 }
 
 // ---- pushdown shape -----------------------------------------------------

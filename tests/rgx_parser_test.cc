@@ -1,6 +1,8 @@
 // Parser + printer tests, including round-trip properties.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "rgx/analysis.h"
 #include "rgx/ast.h"
 #include "rgx/parser.h"
@@ -13,6 +15,22 @@ RgxPtr MustParse(std::string_view p) {
   Result<RgxPtr> r = ParseRgx(p);
   EXPECT_TRUE(r.ok()) << p << " -> " << r.status().ToString();
   return r.ValueOrDie();
+}
+
+/// `open` + `n` × "(" + `core` + `n` × ")" + `close`.
+std::string Nested(size_t n, const std::string& open, const std::string& core,
+                   const std::string& close) {
+  return open + std::string(n, '(') + core + std::string(n, ')') + close;
+}
+
+/// Parsing must fail with InvalidArgument naming the nesting limit — not
+/// overflow the stack.
+void ExpectTooDeep(const std::string& pattern) {
+  Result<RgxPtr> r = ParseRgx(pattern);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("nests deeper than"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(RgxParserTest, Literal) {
@@ -131,16 +149,40 @@ TEST(RgxParserTest, HexEscape) {
 TEST(RgxParserTest, ErrorUnbalancedParen) {
   EXPECT_FALSE(ParseRgx("(ab").ok());
   EXPECT_FALSE(ParseRgx("ab)").ok());
+  // Nesting past the limit is refused, balanced or not.
+  ExpectTooDeep(Nested(20000, "x{", "a", "}"));
+  ExpectTooDeep(std::string(20000, '(') + "a");
+  ExpectTooDeep(Nested(kMaxNestingDepth, "x{", "a", "}"));
 }
 
 TEST(RgxParserTest, ErrorUnbalancedVariableBrace) {
   EXPECT_FALSE(ParseRgx("x{ab").ok());
   EXPECT_FALSE(ParseRgx("ab}").ok());
+  std::string deep;
+  for (int i = 0; i < 20000; ++i) deep += "v" + std::to_string(i) + "{";
+  ExpectTooDeep(deep + "a");
 }
 
 TEST(RgxParserTest, ErrorDanglingQuantifier) {
   EXPECT_FALSE(ParseRgx("*a").ok());
   EXPECT_FALSE(ParseRgx("|*").ok());
+  // Stacked quantifiers nest the tree without nesting the parser.
+  ExpectTooDeep("a" + std::string(50000, '*'));
+  ExpectTooDeep("a" + std::string(kMaxNestingDepth, '*'));
+}
+
+// The deepest patterns the limit admits still parse, to exactly the limit.
+TEST(RgxParserTest, DeepestAcceptedNestingParses) {
+  // kMaxNestingDepth open groups/braces (the variable's brace is one).
+  RgxPtr groups = MustParse(Nested(kMaxNestingDepth - 1, "x{", "a", "}"));
+  EXPECT_EQ(groups->depth(), 2u);
+  // A tree exactly kMaxNestingDepth levels deep.
+  RgxPtr stars = MustParse("a" + std::string(kMaxNestingDepth - 1, '*'));
+  EXPECT_EQ(stars->depth(), kMaxNestingDepth);
+  std::string starred_groups = "a";
+  for (size_t i = 1; i < kMaxNestingDepth; ++i)
+    starred_groups = "(" + starred_groups + ")*";
+  EXPECT_EQ(MustParse(starred_groups)->depth(), kMaxNestingDepth);
 }
 
 TEST(RgxParserTest, ErrorBadClass) {

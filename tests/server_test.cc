@@ -531,6 +531,39 @@ TEST(ServerTest, MalformedRequestsDrawCleanErrors) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+// A register whose pattern nests past the parser limit must draw an
+// error line, not overflow the executor's stack and kill the server for
+// every client: the same server keeps answering ping and extract.
+TEST(ServerTest, DeeplyNestedRegisterRefusedServerSurvives) {
+  RunningServer rs(ServerOptions{});
+  Client client = rs.MustConnect();
+
+  const std::string deep =
+      "x{" + std::string(20000, '(') + "a" + std::string(20000, ')') + "}";
+  Result<int64_t> refused = client.Register(deep);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("nests deeper than"),
+            std::string::npos)
+      << refused.status().ToString();
+
+  EXPECT_TRUE(client.Ping().ok());
+  ASSERT_TRUE(client.Register(kErrPattern).ok());
+  const std::string doc = "ERR 123 alpha beta";
+  std::string served;
+  Result<Client::ExtractSummary> summary = client.Extract(
+      doc, /*doc_index=*/0, OutputFormat::kTsv, /*header=*/true,
+      [&](const std::string& row) {
+        served += row;
+        served += '\n';
+      });
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  Corpus one;
+  one.Add(Document(doc));
+  EXPECT_EQ(served, OfflineOutput({kErrPattern}, one, OutputFormat::kTsv,
+                                  true));
+}
+
 // A newline-free stream past max_request_bytes must be refused with
 // InvalidArgument and the connection closed — including when the
 // oversized chunk arrives faster than one poll() wakeup can drain it.

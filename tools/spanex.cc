@@ -672,38 +672,15 @@ int main(int argc, char** argv) {
   batch_options.num_threads = threads;
   BatchExtractor batch(batch_options);
 
-  // End-of-run reporting shared by both execution paths: fill in the
-  // run-shape fields, render once, dump the trace ring.
+  // The in-memory corpus, or with --index the persisted segment narrowed
+  // to posting-list candidates: rows match the full scan byte for byte.
+  // A matched segment document is copied out once to format its rows.
+  IndexedStats index_stats;
+  const DocumentSource source =
+      index.has_value() ? DocumentSource(*store, &*index, &index_stats)
+                        : DocumentSource(corpus);
+
   const uint64_t run_start_ns = NowNs();
-  auto finish = [&](EngineReport report,
-                    const BatchExtractor::StreamStats& result) {
-    if (!trace_path.empty()) {
-      std::ofstream trace_out(trace_path, std::ios::binary);
-      if (!trace_out) {
-        std::cerr << "spanex: cannot open trace file: " << trace_path
-                  << "\n";
-      } else {
-        obs::Trace::WriteChromeJson(trace_out);
-      }
-      obs::Trace::Disable();
-    }
-    if (!stats) return;
-    report.documents = index.has_value() ? store->num_docs() : corpus.size();
-    report.total_mappings = result.total_mappings;
-    report.matched_documents = result.matched_documents;
-    report.shards = result.shards;
-    report.threads = batch.num_threads();
-    report.wall_ns = NowNs() - run_start_ns;
-    if (metrics) {
-      report.have_metrics = true;
-      report.metrics = obs::MetricsRegistry::Global().Snapshot();
-    }
-    if (json_report) {
-      std::cerr << report.ToJson() << "\n";
-    } else {
-      std::cerr << report.ToText("spanex: ");
-    }
-  };
 
   // Output streams shard by shard in deterministic corpus order: rows for
   // shard k print while shards k+1… are still extracting, and the full
@@ -719,88 +696,9 @@ int main(int argc, char** argv) {
     }
   };
 
-  // Indexed extraction over a persisted corpus: posting-list candidate
-  // lookup, then the normal gate cascade over candidates only. Output and
-  // report rows match the full-scan paths byte for byte (matched docs are
-  // always candidates; non-candidates provably have no rows).
-  if (index.has_value()) {
-    IndexedStats index_stats;
-    BatchExtractor::StreamStats run_stats;
-    EngineReport report;
-
-    if (plans.size() == 1) {
-      const ExtractionPlan& plan = *plans[0];
-      const VarSet& vars = plan.vars();
-      if (format == OutputFormat::kTsv && header) {
-        out += TsvHeader(vars);
-        out += '\n';
-      }
-      BatchResult result =
-          batch.ExtractIndexed(plan, *store, &*index, &index_stats);
-      for (size_t i = 0; i < result.per_doc.size(); ++i) {
-        if (result.per_doc[i].empty()) continue;
-        const Document doc = store->MaterializeDoc(i);
-        for (const Mapping& m : result.per_doc[i]) {
-          AppendMappingRow(&out, format, i, m, vars, doc);
-          flush_if_large();
-        }
-      }
-      writer.Write(out);
-      out.clear();
-      run_stats.total_mappings = result.total_mappings;
-      run_stats.matched_documents = result.MatchedDocuments();
-      run_stats.shards = result.shards;
-      report.plans.push_back(PlanReport{"", plan.info().ToString(),
-                                        plan.stats(),
-                                        plan.lazy_dfa().stats()});
-    } else {
-      MultiQueryExtractor fleet(plans);
-      if (format == OutputFormat::kTsv && header) {
-        std::vector<const VarSet*> vars_per_plan;
-        vars_per_plan.reserve(fleet.num_plans());
-        for (size_t p = 0; p < fleet.num_plans(); ++p)
-          vars_per_plan.push_back(&fleet.plan(p).vars());
-        out += FleetTsvHeader(vars_per_plan);
-      }
-      MultiBatchResult result =
-          batch.ExtractIndexedMulti(fleet, *store, &*index, &index_stats);
-      for (size_t i = 0; i < store->num_docs(); ++i) {
-        bool matched = false;
-        for (size_t p = 0; p < result.per_plan.size(); ++p)
-          matched = matched || !result.per_plan[p].per_doc[i].empty();
-        if (!matched) continue;
-        ++run_stats.matched_documents;
-        const Document doc = store->MaterializeDoc(i);
-        for (size_t p = 0; p < result.per_plan.size(); ++p) {
-          const VarSet& vars = fleet.plan(p).vars();
-          for (const Mapping& m : result.per_plan[p].per_doc[i]) {
-            AppendFleetMappingRow(&out, format, p, i, m, vars, doc);
-            flush_if_large();
-          }
-        }
-      }
-      writer.Write(out);
-      out.clear();
-      run_stats.total_mappings = result.total_mappings;
-      run_stats.shards = result.shards;
-      report.fleet = fleet.ToString();
-      for (size_t p = 0; p < fleet.num_plans(); ++p) {
-        const ExtractionPlan& plan = fleet.plan(p);
-        report.plans.push_back(PlanReport{"q" + std::to_string(p),
-                                          plan.info().ToString(),
-                                          fleet.plan_stats(p),
-                                          plan.lazy_dfa().stats()});
-      }
-      report.have_cache = true;
-      report.cache = cache.stats();
-    }
-
-    report.have_index = true;
-    report.index_info = index->ToString();
-    report.index_stats = index_stats;
-    finish(std::move(report), run_stats);
-    return OutputExit(writer);
-  }
+  Document held;
+  EngineReport report;
+  BatchExtractor::StreamStats result;
 
   if (compiled.has_value() || plans.size() == 1) {
     const DocumentExtractor* extractor =
@@ -812,13 +710,15 @@ int main(int argc, char** argv) {
       out += TsvHeader(vars);
       out += '\n';
     }
-    BatchExtractor::StreamStats result = batch.ExtractStream(
-        *extractor, corpus,
+    result = batch.ExtractStream(
+        *extractor, source,
         [&](size_t doc_begin, size_t doc_end,
             std::vector<std::vector<Mapping>>& per_doc) {
           for (size_t i = doc_begin; i < doc_end; ++i) {
+            if (per_doc[i - doc_begin].empty()) continue;
+            const Document& doc = source.doc(i, &held);
             for (const Mapping& m : per_doc[i - doc_begin]) {
-              AppendMappingRow(&out, format, i, m, vars, corpus[i]);
+              AppendMappingRow(&out, format, i, m, vars, doc);
               flush_if_large();
             }
           }
@@ -827,7 +727,6 @@ int main(int argc, char** argv) {
         });
     writer.Write(out);
 
-    EngineReport report;
     if (!compiled.has_value()) {
       const ExtractionPlan& plan = *plans[0];
       report.plans.push_back(PlanReport{"", plan.info().ToString(),
@@ -838,50 +737,82 @@ int main(int argc, char** argv) {
       report.have_cache = true;
       report.cache = cache.stats();
     }
-    finish(std::move(report), result);
-    return OutputExit(writer);
-  }
-
-  // Multi-query fleet: one corpus pass for every plan. Rows carry a
-  // leading `query` column (the 0-based position of the pattern on the
-  // command line / in the patterns file), doc-major then query-minor.
-  MultiQueryExtractor fleet(plans);
-  if (format == OutputFormat::kTsv && header) {
-    std::vector<const VarSet*> vars_per_plan;
-    vars_per_plan.reserve(fleet.num_plans());
-    for (size_t p = 0; p < fleet.num_plans(); ++p)
-      vars_per_plan.push_back(&fleet.plan(p).vars());
-    out += FleetTsvHeader(vars_per_plan);
-  }
-  BatchExtractor::StreamStats result = batch.ExtractMultiStream(
-      fleet, corpus,
-      [&](size_t doc_begin, size_t doc_end,
-          std::vector<std::vector<std::vector<Mapping>>>& per_plan) {
-        for (size_t i = doc_begin; i < doc_end; ++i) {
-          for (size_t p = 0; p < per_plan.size(); ++p) {
-            const VarSet& vars = fleet.plan(p).vars();
-            for (const Mapping& m : per_plan[p][i - doc_begin]) {
-              AppendFleetMappingRow(&out, format, p, i, m, vars, corpus[i]);
-              flush_if_large();
+  } else {
+    // Multi-query fleet: one corpus pass for every plan. Rows carry a
+    // leading `query` column (the 0-based position of the pattern on the
+    // command line / in the patterns file), doc-major then query-minor.
+    MultiQueryExtractor fleet(plans);
+    if (format == OutputFormat::kTsv && header) {
+      std::vector<const VarSet*> vars_per_plan;
+      vars_per_plan.reserve(fleet.num_plans());
+      for (size_t p = 0; p < fleet.num_plans(); ++p)
+        vars_per_plan.push_back(&fleet.plan(p).vars());
+      out += FleetTsvHeader(vars_per_plan);
+    }
+    result = batch.ExtractMultiStream(
+        fleet, source,
+        [&](size_t doc_begin, size_t doc_end,
+            std::vector<std::vector<std::vector<Mapping>>>& per_plan) {
+          for (size_t i = doc_begin; i < doc_end; ++i) {
+            const Document* doc = nullptr;
+            for (size_t p = 0; p < per_plan.size(); ++p) {
+              const VarSet& vars = fleet.plan(p).vars();
+              for (const Mapping& m : per_plan[p][i - doc_begin]) {
+                if (doc == nullptr) doc = &source.doc(i, &held);
+                AppendFleetMappingRow(&out, format, p, i, m, vars, *doc);
+                flush_if_large();
+              }
             }
           }
-        }
-        writer.Write(out);
-        out.clear();
-      });
-  writer.Write(out);
+          writer.Write(out);
+          out.clear();
+        });
+    writer.Write(out);
 
-  EngineReport report;
-  report.fleet = fleet.ToString();
-  for (size_t p = 0; p < fleet.num_plans(); ++p) {
-    const ExtractionPlan& plan = fleet.plan(p);
-    report.plans.push_back(PlanReport{"q" + std::to_string(p),
-                                      plan.info().ToString(),
-                                      fleet.plan_stats(p),
-                                      plan.lazy_dfa().stats()});
+    report.fleet = fleet.ToString();
+    for (size_t p = 0; p < fleet.num_plans(); ++p) {
+      const ExtractionPlan& plan = fleet.plan(p);
+      report.plans.push_back(PlanReport{"q" + std::to_string(p),
+                                        plan.info().ToString(),
+                                        fleet.plan_stats(p),
+                                        plan.lazy_dfa().stats()});
+    }
+    report.have_cache = true;
+    report.cache = cache.stats();
   }
-  report.have_cache = true;
-  report.cache = cache.stats();
-  finish(std::move(report), result);
+
+  if (index.has_value()) {
+    report.have_index = true;
+    report.index_info = index->ToString();
+    report.index_stats = index_stats;
+  }
+  // End of run: dump the trace ring, then render the report once.
+  if (!trace_path.empty()) {
+    std::ofstream trace_out(trace_path, std::ios::binary);
+    if (!trace_out) {
+      std::cerr << "spanex: cannot open trace file: " << trace_path
+                << "\n";
+    } else {
+      obs::Trace::WriteChromeJson(trace_out);
+    }
+    obs::Trace::Disable();
+  }
+  if (stats) {
+    report.documents = source.num_docs();
+    report.total_mappings = result.total_mappings;
+    report.matched_documents = result.matched_documents;
+    report.shards = result.shards;
+    report.threads = batch.num_threads();
+    report.wall_ns = NowNs() - run_start_ns;
+    if (metrics) {
+      report.have_metrics = true;
+      report.metrics = obs::MetricsRegistry::Global().Snapshot();
+    }
+    if (json_report) {
+      std::cerr << report.ToJson() << "\n";
+    } else {
+      std::cerr << report.ToText("spanex: ");
+    }
+  }
   return OutputExit(writer);
 }
