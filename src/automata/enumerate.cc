@@ -85,10 +85,6 @@ MappingSet MappingEnumerator::Drain() {
   return out;
 }
 
-void MappingEnumerator::DrainTo(std::vector<Mapping>* out) {
-  while (std::optional<Mapping> m = Next()) out->push_back(*std::move(m));
-}
-
 void MappingEnumerator::DrainTo(MappingSink& sink) {
   MappingPool* pool = sink.pool();
   while (std::optional<Mapping> m = NextPooled(pool))
@@ -122,16 +118,6 @@ MappingSet EnumerateSequential(const VA& a, const Document& doc) {
 
 MappingSet EnumerateVa(const VA& a, const Document& doc) {
   return MakeVaEnumerator(a, doc).Drain();
-}
-
-void EnumerateSequentialInto(const VA& a, const Document& doc, Arena* scratch,
-                             std::vector<Mapping>* out) {
-  MakeSequentialEnumerator(a, doc, scratch).DrainTo(out);
-}
-
-void EnumerateVaInto(const VA& a, const Document& doc, Arena* scratch,
-                     std::vector<Mapping>* out) {
-  MakeVaEnumerator(a, doc, scratch).DrainTo(out);
 }
 
 void EnumerateSequentialTo(const VA& a, const Document& doc, Arena* scratch,

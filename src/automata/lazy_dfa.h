@@ -24,7 +24,7 @@
 // stays on the fast path. Readers detect an eviction through a generation
 // counter and restart the document scan; a scan that restarts too often
 // (a genuinely thrashing working set) reports "unknown" for that call
-// only, and the caller decides by NFA state-set simulation — answers stay
+// only, and the caller decides by running the evaluator — answers stay
 // exact either way.
 #ifndef SPANNERS_AUTOMATA_LAZY_DFA_H_
 #define SPANNERS_AUTOMATA_LAZY_DFA_H_

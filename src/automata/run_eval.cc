@@ -208,29 +208,19 @@ void RunEvalStackTo(const VA& a, const Document& doc, Arena* arena,
             vars != nullptr ? vars->ids() : a.Vars().ids(), cancel);
 }
 
-void RunEvalInto(const VA& a, const Document& doc, Arena* arena,
-                 std::vector<Mapping>* out) {
-  VectorSink sink(out);
-  RunEvalTo(a, doc, arena, sink);
-}
-
-void RunEvalStackInto(const VA& a, const Document& doc, Arena* arena,
-                      std::vector<Mapping>* out) {
-  VectorSink sink(out);
-  RunEvalStackTo(a, doc, arena, sink);
-}
-
 MappingSet RunEval(const VA& a, const Document& doc) {
   Arena arena;
   std::vector<Mapping> out;
-  RunEvalInto(a, doc, &arena, &out);
+  VectorSink sink(&out);
+  RunEvalTo(a, doc, &arena, sink);
   return MappingSet(std::move(out));
 }
 
 MappingSet RunEvalStack(const VA& a, const Document& doc) {
   Arena arena;
   std::vector<Mapping> out;
-  RunEvalStackInto(a, doc, &arena, &out);
+  VectorSink sink(&out);
+  RunEvalStackTo(a, doc, &arena, sink);
   return MappingSet(std::move(out));
 }
 

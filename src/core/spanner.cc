@@ -49,14 +49,6 @@ MappingSet Spanner::ExtractAll(const Document& doc) const {
   return RunEval(va_, doc);
 }
 
-MappingSet Spanner::ExtractAllWith(Evaluator evaluator,
-                                   const Document& doc) const {
-  Arena arena;
-  std::vector<Mapping> out;
-  ExtractAllInto(evaluator, doc, &arena, &out);
-  return MappingSet(std::move(out));
-}
-
 void Spanner::ExtractAllInto(Evaluator evaluator, const Document& doc,
                              Arena* arena, std::vector<Mapping>* out) const {
   VectorSink sink(out);

@@ -68,13 +68,10 @@ class Spanner {
 
   /// ⟦γ⟧_doc computed by an explicit strategy. `kSequentialDelay` requires
   /// is_sequential(). Thread-safe: shares only immutable state, so one
-  /// Spanner may serve concurrent extractions.
-  MappingSet ExtractAllWith(Evaluator evaluator, const Document& doc) const;
-
-  /// Arena-backed extraction: `arena` supplies every transient structure
-  /// (it is treated as scratch and Reset() inside — one arena per thread,
-  /// reused across documents); the unique result mappings are appended to
-  /// *out in unspecified order. This is the engine's hot path.
+  /// Spanner may serve concurrent extractions. `arena` supplies every
+  /// transient structure (it is treated as scratch and Reset() inside —
+  /// one arena per thread, reused across documents); the unique result
+  /// mappings are appended to *out in unspecified order.
   void ExtractAllInto(Evaluator evaluator, const Document& doc, Arena* arena,
                       std::vector<Mapping>* out) const;
 

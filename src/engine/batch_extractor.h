@@ -229,7 +229,7 @@ class BatchExtractor {
   BatchOptions options_;
   ThreadPool pool_;
   CancelToken* cancel_ = nullptr;
-  // One scratch (arena + sort buffer) per pool worker, addressed via
+  // One scratch (arenas + mapping pool) per pool worker, addressed via
   // ThreadPool::CurrentWorkerIndex(); unique_ptr keeps addresses stable.
   std::vector<std::unique_ptr<PlanScratch>> worker_scratch_;
 };

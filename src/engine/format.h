@@ -12,7 +12,6 @@
 
 #include "core/document.h"
 #include "core/mapping.h"
-#include "core/mapping_sink.h"
 #include "core/variable.h"
 
 namespace spanners {
@@ -84,45 +83,6 @@ class CheckedWriter {
  private:
   std::FILE* stream_;
   int error_ = 0;
-};
-
-/// Formats mappings as they stream: each pushed mapping becomes one TSV
-/// or JSONL line appended to *out, and its storage is recycled into the
-/// pool. Terminates a push-based pipeline (Spanner::ExtractTo, the
-/// query operators) without materializing a mapping vector in between;
-/// rows arrive in the producer's (unsorted) order.
-class FormattingSink final : public MappingSink {
- public:
-  FormattingSink(OutputFormat format, size_t doc_index, const VarSet& vars,
-                 const Document& doc, std::string* out,
-                 MappingPool* pool = nullptr)
-      : format_(format),
-        doc_index_(doc_index),
-        vars_(vars),
-        doc_(doc),
-        out_(out),
-        pool_(pool) {}
-
-  bool Push(Mapping m) override {
-    *out_ += format_ == OutputFormat::kTsv
-                 ? ToTsvRow(doc_index_, m, vars_, doc_)
-                 : ToJsonRow(doc_index_, m, vars_, doc_);
-    *out_ += '\n';
-    ++rows_;
-    if (pool_ != nullptr) pool_->Recycle(std::move(m));
-    return true;
-  }
-  MappingPool* pool() override { return pool_; }
-  size_t rows() const { return rows_; }
-
- private:
-  OutputFormat format_;
-  size_t doc_index_;
-  const VarSet& vars_;
-  const Document& doc_;
-  std::string* out_;
-  MappingPool* pool_;
-  size_t rows_ = 0;
 };
 
 }  // namespace engine

@@ -1,6 +1,5 @@
 #include "engine/multi_query.h"
 
-#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -12,34 +11,10 @@ namespace engine {
 
 namespace {
 
-// The fleet runs tiers 2 and 3 itself (the plans are pre-gated), so it
-// records into the same tier.prefilter_ns / tier.dfa_gate_ns histograms
-// and engine.* skip counters ExtractionPlan::GateRejects feeds — one
-// tier breakdown regardless of which layer did the gating.
-struct FleetMetrics {
-  obs::Histogram* ac_scan_ns;
-  obs::Histogram* prefilter_ns;
-  obs::Histogram* dfa_gate_ns;
-  obs::Counter* documents;
-  obs::Counter* ac_gate_skipped;
-  obs::Counter* prefilter_skipped;
-  obs::Counter* dfa_skipped;
-};
-
-const FleetMetrics& Metrics() {
-  static const FleetMetrics m = [] {
-    obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
-    FleetMetrics m;
-    m.ac_scan_ns = r.GetHistogram("tier.ac_scan_ns");
-    m.prefilter_ns = r.GetHistogram("tier.prefilter_ns");
-    m.dfa_gate_ns = r.GetHistogram("tier.dfa_gate_ns");
-    m.documents = r.GetCounter("engine.documents");
-    m.ac_gate_skipped = r.GetCounter("engine.ac_gate_skipped");
-    m.prefilter_skipped = r.GetCounter("engine.prefilter_skipped");
-    m.dfa_skipped = r.GetCounter("engine.dfa_skipped");
-    return m;
-  }();
-  return m;
+obs::Histogram* AcScanHistogram() {
+  static obs::Histogram* h =
+      obs::MetricsRegistry::Global().GetHistogram("tier.ac_scan_ns");
+  return h;
 }
 
 }  // namespace
@@ -58,19 +33,10 @@ MultiQueryExtractor::MultiQueryExtractor(
   // feeding every plan that shares it (common in a fleet of similar
   // queries).
   plan_gated_.resize(plans_.size(), 0);
-  plan_has_more_clauses_.resize(plans_.size(), 0);
-  if (!build_shared_gate) {
-    // Gateless (degraded-memory) build: no combined automaton. Each plan
-    // with a prefilter instead runs its own FULL prefilter in tier 2
-    // (plan_gated_ stays 0 so tier 1's bitset is never consulted), then
-    // its DFA tier — so degraded mode still skips non-matching documents
-    // per plan, just without the shared pass. Results stay byte-identical.
-    for (size_t p = 0; p < plans_.size(); ++p)
-      plan_has_more_clauses_[p] =
-          !plans_[p]->prefilter().clauses().empty();
-    counters_ = std::make_unique<PlanCounters[]>(plans_.size());
-    return;
-  }
+  // Gateless (degraded-memory) build: no combined automaton, so every
+  // plan runs its own full cascade — degraded mode still skips
+  // non-matching documents per plan, just without the shared pass.
+  if (!build_shared_gate) return;
   std::vector<std::string> patterns;
   std::vector<std::vector<uint32_t>> plans_of_pattern;
   std::unordered_map<std::string, size_t> pattern_index;
@@ -79,7 +45,6 @@ MultiQueryExtractor::MultiQueryExtractor(
         plans_[p]->prefilter().clauses();
     if (clauses.empty()) continue;
     plan_gated_[p] = 1;
-    plan_has_more_clauses_[p] = clauses.size() > 1;
     ++gated_plans_;
     for (const std::string& lit : clauses[0].literals) {
       auto [it, inserted] = pattern_index.emplace(lit, patterns.size());
@@ -103,15 +68,13 @@ MultiQueryExtractor::MultiQueryExtractor(
           static_cast<uint32_t>(pattern_plan_ids_.size()));
     }
   }
-  counters_ = std::make_unique<PlanCounters[]>(plans_.size());
 }
 
-MultiQueryExtractor MultiQueryExtractor::FromCache(const PlanCache& cache,
-                                                   bool build_shared_gate) {
+MultiQueryExtractor MultiQueryExtractor::FromCache(const PlanCache& cache) {
   std::vector<std::shared_ptr<const ExtractionPlan>> plans;
   for (auto& [key, plan] : cache.ResidentPlans())
     plans.push_back(std::move(plan));
-  return MultiQueryExtractor(std::move(plans), build_shared_gate);
+  return MultiQueryExtractor(std::move(plans));
 }
 
 size_t MultiQueryExtractor::ApproxMemoryBytes() const {
@@ -119,9 +82,8 @@ size_t MultiQueryExtractor::ApproxMemoryBytes() const {
   if (ac_ != nullptr) bytes += ac_->table_bytes();
   bytes += pattern_plan_offsets_.capacity() * sizeof(uint32_t);
   bytes += pattern_plan_ids_.capacity() * sizeof(uint32_t);
-  bytes += plan_gated_.capacity() + plan_has_more_clauses_.capacity();
-  bytes += plans_.size() * (sizeof(PlanCounters) +
-                            sizeof(std::shared_ptr<const ExtractionPlan>));
+  bytes += plan_gated_.capacity();
+  bytes += plans_.size() * sizeof(std::shared_ptr<const ExtractionPlan>);
   return bytes;
 }
 
@@ -134,13 +96,13 @@ void MultiQueryExtractor::ExtractAllSortedInto(const Document& doc,
   CancelToken* cancel = scratch->cancel;
   std::vector<uint64_t>& bits = scratch->multi_clause_bits;
 
-  // Tier 1, once per document: the combined pass over every plan's
-  // strongest clause. Bit p records exactly what plan p's own prefilter
-  // would compute for that clause, so gating decisions — and therefore
-  // results — match the plans run alone. The scan stops early once every
-  // gated plan is satisfied.
-  if (gating_enabled_ && ac_ != nullptr) {
-    obs::ObsSpan span(Metrics().ac_scan_ns, "ac_scan");
+  // Once per document: the combined pass over every plan's strongest
+  // clause. Bit p records exactly what plan p's own prefilter would
+  // compute for that clause, so gating decisions — and therefore results
+  // — match the plans run alone. The scan stops early once every gated
+  // plan is satisfied.
+  if (ac_ != nullptr) {
+    obs::ObsSpan span(AcScanHistogram(), "ac_scan");
     bits.assign((num_plans + 63) / 64, 0);
     size_t remaining = gated_plans_;
     if (!text.empty()) {
@@ -166,76 +128,30 @@ void MultiQueryExtractor::ExtractAllSortedInto(const Document& doc,
     if (cancel != nullptr && cancel->tripped()) return;
   }
 
-  // The skip paths below are the fleet's hottest loop (plans × documents,
-  // ~all of them skipped on a low-selectivity corpus): one relaxed
-  // atomic per skipped (plan, doc) — `documents` is derived in
-  // plan_stats() — and the pool recycle is elided for a slot that is
-  // already the empty result (the steady state under result reuse).
+  // Every plan then runs its own cascade from what the pass found.
   for (size_t p = 0; p < num_plans; ++p) {
     if (cancel != nullptr && cancel->tripped()) return;
-    std::vector<Mapping>* slot = out[p];
-    PlanCounters& counters = counters_[p];
-    if (gating_enabled_) {
-      if (plan_gated_[p] && (bits[p >> 6] >> (p & 63) & 1) == 0) {
-        if (!slot->empty()) scratch->pool.RecycleAll(slot);
-        counters.ac_gate_skipped.fetch_add(1, std::memory_order_relaxed);
-        if (obs::Enabled()) {
-          Metrics().documents->Add(1);
-          Metrics().ac_gate_skipped->Add(1);
-        }
-        continue;
-      }
-      // Tier 2, per surviving plan: its remaining prefilter clauses
-      // (memmem over the rare candidate document).
-      if (plan_has_more_clauses_[p]) {
-        bool pass;
-        {
-          obs::ObsSpan span(Metrics().prefilter_ns, "prefilter");
-          pass = plans_[p]->prefilter().Matches(text, cancel);
-        }
-        if (!pass) {
-          if (!slot->empty()) scratch->pool.RecycleAll(slot);
-          counters.prefilter_skipped.fetch_add(1, std::memory_order_relaxed);
-          if (obs::Enabled()) {
-            Metrics().documents->Add(1);
-            Metrics().prefilter_skipped->Add(1);
-          }
-          continue;
-        }
-      }
-      // Tier 3: the plan's own cached lazy DFA (its negative answer is
-      // sound for any VA).
-      std::optional<bool> verdict;
-      {
-        obs::ObsSpan span(Metrics().dfa_gate_ns, "dfa_gate");
-        verdict = plans_[p]->lazy_dfa().Matches(text, cancel);
-      }
-      if (verdict.has_value() && !*verdict) {
-        if (!slot->empty()) scratch->pool.RecycleAll(slot);
-        counters.dfa_skipped.fetch_add(1, std::memory_order_relaxed);
-        if (obs::Enabled()) {
-          Metrics().documents->Add(1);
-          Metrics().dfa_skipped->Add(1);
-        }
-        continue;
-      }
-    }
-    plans_[p]->ExtractSortedPregatedInto(doc, scratch, slot);
-    counters.extracted.fetch_add(1, std::memory_order_relaxed);
-    counters.mappings.fetch_add(slot->size(), std::memory_order_relaxed);
+    using SharedGate = ExtractionPlan::SharedGate;
+    SharedGate shared = SharedGate::kNone;
+    if (plan_gated_[p])
+      shared = (bits[p >> 6] >> (p & 63) & 1) != 0 ? SharedGate::kClauseMet
+                                                   : SharedGate::kClauseMiss;
+    plans_[p]->ExtractSortedInto(doc, shared, scratch, out[p]);
   }
 }
 
-PlanStats MultiQueryExtractor::plan_stats(size_t i) const {
-  const PlanCounters& c = counters_[i];
-  PlanStats s;
-  s.mappings = c.mappings.load(std::memory_order_relaxed);
-  s.ac_gate_skipped = c.ac_gate_skipped.load(std::memory_order_relaxed);
-  s.prefilter_skipped = c.prefilter_skipped.load(std::memory_order_relaxed);
-  s.dfa_skipped = c.dfa_skipped.load(std::memory_order_relaxed);
-  s.documents = c.extracted.load(std::memory_order_relaxed) +
-                s.ac_gate_skipped + s.prefilter_skipped + s.dfa_skipped;
-  return s;
+std::shared_ptr<const MultiQueryExtractor> BuildFleetWithinBudget(
+    std::vector<std::shared_ptr<const ExtractionPlan>> plans,
+    size_t budget_bytes, bool* degraded) {
+  auto fleet = std::make_shared<const MultiQueryExtractor>(plans);
+  *degraded = budget_bytes > 0 && fleet->ApproxMemoryBytes() > budget_bytes;
+  if (*degraded) {
+    // The gateless fleet still answers byte-identically; every plan
+    // filters on its own.
+    fleet = std::make_shared<const MultiQueryExtractor>(
+        std::move(plans), /*build_shared_gate=*/false);
+  }
+  return fleet;
 }
 
 std::shared_ptr<const MultiQueryExtractor> CachedFleet::Get() {
@@ -245,22 +161,15 @@ std::shared_ptr<const MultiQueryExtractor> CachedFleet::Get() {
   // rebuilds — stale-forever is impossible.
   const uint64_t gen = cache_.generation();
   if (fleet_ == nullptr || built_generation_ != gen) {
-    auto fleet = std::make_shared<const MultiQueryExtractor>(
-        MultiQueryExtractor::FromCache(cache_));
-    rebuilds_.fetch_add(1, std::memory_order_relaxed);
-    const size_t budget =
-        memory_budget_bytes_.load(std::memory_order_relaxed);
-    if (budget > 0 && fleet->ApproxMemoryBytes() > budget) {
-      // Over budget: trade the shared tier-1 automaton (the only
-      // non-trivial allocation) for a gateless fleet and flag degraded.
-      fleet = std::make_shared<const MultiQueryExtractor>(
-          MultiQueryExtractor::FromCache(cache_, /*build_shared_gate=*/false));
-      rebuilds_.fetch_add(1, std::memory_order_relaxed);
-      degraded_.store(true, std::memory_order_relaxed);
-    } else {
-      degraded_.store(false, std::memory_order_relaxed);
-    }
-    fleet_ = std::move(fleet);
+    std::vector<std::shared_ptr<const ExtractionPlan>> plans;
+    for (auto& [key, plan] : cache_.ResidentPlans())
+      plans.push_back(std::move(plan));
+    bool degraded = false;
+    fleet_ = BuildFleetWithinBudget(
+        std::move(plans), memory_budget_bytes_.load(std::memory_order_relaxed),
+        &degraded);
+    rebuilds_.fetch_add(degraded ? 2 : 1, std::memory_order_relaxed);
+    degraded_.store(degraded, std::memory_order_relaxed);
     built_generation_ = gen;
   }
   return fleet_;

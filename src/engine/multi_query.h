@@ -12,28 +12,34 @@
 //      document text
 //           │  one shared AC pass (every plan's strongest clause at once)
 //           ▼
-//   plan bitset ──► plan p's clause satisfied?      ──no──► skip p
+//   plan bitset ──► plan p's clause 0 found?        ──no──► skip p
 //           │ yes
-//           ▼
-//   plan p's full prefilter (remaining clauses)     ──rejects──► skip p
-//           │ passes
-//           ▼
-//   plan p's lazy-DFA membership gate               ──rejects──► skip p
-//           │ passes
-//           ▼
-//   plan p's evaluator (run enumeration / Thm 5.7 / Thm 5.10)
+//   ┌───────┼─ plan p's own per-document path (ExtractionPlan) ─────────┐
+//   │       ▼                                                           │
+//   │ p's full prefilter, if it has more clauses  ──rejects──► skip p  │
+//   │       │ passes                                                    │
+//   │       ▼                                                           │
+//   │ p's lazy-DFA membership gate                ──rejects──► skip p  │
+//   │       │ passes                                                    │
+//   │       ▼                                                           │
+//   │ p's evaluator (run enumeration / Thm 5.7 / Thm 5.10)              │
+//   └───────────────────────────────────────────────────────────────────┘
 //
-// Only plans that survive every tier reach an evaluator, so the dominant
-// cost on a low-selectivity fleet — scanning the 99% of documents that
-// match nothing — is paid once per document instead of once per plan per
+// The fleet owns only the shared pass; everything below it, the per-plan
+// counters included, is the plan's ExtractSortedInto told what the pass
+// found (ExtractionPlan::SharedGate), so a plan gates, evaluates and
+// counts the same way alone and in any fleet. Only plans that survive
+// every tier reach an evaluator, so the dominant cost on a
+// low-selectivity fleet — scanning the 99% of documents that match
+// nothing — is paid once per document instead of once per plan per
 // document. Results are byte-identical to running each plan alone (each
 // tier is sound: the shared pass computes exactly the plan's own
 // strongest-clause satisfaction, and survivors re-run their complete
 // prefilter), delivered per plan in deterministic corpus order.
 //
-// Thread safety: the extractor is immutable after construction apart from
-// monotonic per-plan counters; one instance is shared by every worker of
-// a BatchExtractor::ExtractMulti call.
+// Thread safety: the extractor is immutable after construction; one
+// instance is shared by every worker of a BatchExtractor::ExtractMulti
+// call.
 #ifndef SPANNERS_ENGINE_MULTI_QUERY_H_
 #define SPANNERS_ENGINE_MULTI_QUERY_H_
 
@@ -58,30 +64,24 @@ class MultiQueryExtractor {
   /// Builds the shared gate over `plans` (typically PlanCache residents).
   /// Plan order is preserved and defines the output order of ExtractMulti.
   /// With build_shared_gate=false the combined Aho–Corasick automaton is
-  /// skipped entirely — every plan falls through to its own prefilter/DFA
-  /// tiers (still byte-identical, just without the shared tier-1 pass).
-  /// That is the degraded-mode escape hatch when the automaton would
-  /// exceed a server's memory budget.
+  /// skipped entirely — every plan runs its own full prefilter/DFA cascade
+  /// (still byte-identical, just without the shared pass). That is the
+  /// degraded-mode escape hatch when the automaton would exceed a
+  /// server's memory budget (BuildFleetWithinBudget). Each plan's
+  /// gating_enabled() governs its own cascade either way.
   explicit MultiQueryExtractor(
       std::vector<std::shared_ptr<const ExtractionPlan>> plans,
       bool build_shared_gate = true);
 
   /// Convenience: every plan resident in `cache`, in deterministic
   /// (key-sorted) order.
-  static MultiQueryExtractor FromCache(const PlanCache& cache,
-                                       bool build_shared_gate = true);
+  static MultiQueryExtractor FromCache(const PlanCache& cache);
 
   size_t num_plans() const { return plans_.size(); }
   const ExtractionPlan& plan(size_t i) const { return *plans_[i]; }
   const std::shared_ptr<const ExtractionPlan>& plan_ptr(size_t i) const {
     return plans_[i];
   }
-
-  /// Turns the shared AC + per-plan lazy-DFA gate off: every plan's
-  /// evaluator runs on every document (differential testing). Set before
-  /// sharing across threads.
-  void set_gating_enabled(bool on) { gating_enabled_ = on; }
-  bool gating_enabled() const { return gating_enabled_; }
 
   /// Extracts one document under every plan: out[p] is filled (cleared
   /// first, previous mappings recycled through the scratch pool) with the
@@ -91,11 +91,9 @@ class MultiQueryExtractor {
   void ExtractAllSortedInto(const Document& doc, PlanScratch* scratch,
                             std::vector<Mapping>** out) const;
 
-  /// Aggregated counters of plan `i` across every multi-query document:
-  /// ac_gate_skipped counts shared-pass rejections, prefilter_skipped the
-  /// plan's own remaining-clause rejections, dfa_skipped its lazy-DFA
-  /// rejections; documents covers every corpus document seen.
-  PlanStats plan_stats(size_t i) const;
+  /// plan(i).stats(): the plan's own counters, which count every document
+  /// offered to it by any fleet or batch (see PlanStats).
+  PlanStats plan_stats(size_t i) const { return plans_[i]->stats(); }
 
   /// Total distinct gate literals across the fleet (0 = no shared gate;
   /// every plan falls through to its DFA tier).
@@ -113,25 +111,11 @@ class MultiQueryExtractor {
   std::string ToString() const;
 
  private:
-  // No `documents` counter: every document lands in exactly one of these
-  // four, so plan_stats() derives the total — that keeps the per-skipped-
-  // (plan, doc) cost at one relaxed atomic in the fleet's hottest loop.
-  struct PlanCounters {
-    std::atomic<uint64_t> extracted{0};
-    std::atomic<uint64_t> mappings{0};
-    std::atomic<uint64_t> ac_gate_skipped{0};
-    std::atomic<uint64_t> prefilter_skipped{0};
-    std::atomic<uint64_t> dfa_skipped{0};
-  };
-
   std::vector<std::shared_ptr<const ExtractionPlan>> plans_;
   // Whether plan p participates in the shared pass (has a prefilter
   // clause) and, per document, which bit of the scratch bitset records
   // its strongest clause's satisfaction (the bit index is p itself).
   std::vector<uint8_t> plan_gated_;
-  /// Plans whose full prefilter holds clauses beyond the gated one (the
-  /// survivors' remaining-clause tier can be skipped otherwise).
-  std::vector<uint8_t> plan_has_more_clauses_;
   // The combined automaton over every plan's strongest clause; pattern
   // id → the plan bits it satisfies (CSR: pattern_plan_offsets_ has
   // num patterns + 1 entries into pattern_plan_ids_).
@@ -140,10 +124,15 @@ class MultiQueryExtractor {
   std::vector<uint32_t> pattern_plan_ids_;
   size_t gate_literals_ = 0;
   size_t gated_plans_ = 0;
-  bool gating_enabled_ = true;
-  // unique_ptr keeps the extractor movable despite the atomics.
-  std::unique_ptr<PlanCounters[]> counters_;
 };
+
+/// Builds the fleet over `plans`; when the fleet's own memory
+/// (ApproxMemoryBytes) exceeds `budget_bytes`, rebuilds it without the
+/// shared gate, whose automaton is the only non-trivial allocation, and
+/// sets *degraded. 0 = unlimited.
+std::shared_ptr<const MultiQueryExtractor> BuildFleetWithinBudget(
+    std::vector<std::shared_ptr<const ExtractionPlan>> plans,
+    size_t budget_bytes, bool* degraded);
 
 /// Generation-checked holder of a PlanCache's resident fleet. Building a
 /// MultiQueryExtractor costs a full ResidentPlans() snapshot plus an
@@ -169,10 +158,9 @@ class CachedFleet {
   /// cache's membership generation changed. Thread-safe.
   std::shared_ptr<const MultiQueryExtractor> Get();
 
-  /// Caps the fleet's own memory (ApproxMemoryBytes). When a freshly
-  /// built fleet exceeds the budget, Get() rebuilds it without the shared
-  /// gate (a gateless fleet's footprint is near zero) and degraded()
-  /// turns true until a later rebuild fits again. 0 = unlimited.
+  /// Caps the fleet's own memory: Get() builds through
+  /// BuildFleetWithinBudget, and degraded() stays true until a later
+  /// rebuild fits again. 0 = unlimited.
   void set_memory_budget(size_t bytes) {
     memory_budget_bytes_.store(bytes, std::memory_order_relaxed);
   }

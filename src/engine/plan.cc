@@ -5,8 +5,6 @@
 #include <memory>
 #include <optional>
 
-#include "automata/fpt.h"
-#include "automata/matcher.h"
 #include "obs/span.h"
 #include "rgx/analysis.h"
 #include "rules/convert.h"
@@ -23,13 +21,13 @@ namespace {
 struct EngineMetrics {
   obs::Histogram* prefilter_ns;
   obs::Histogram* dfa_gate_ns;
-  obs::Histogram* nfa_sim_ns;
   obs::Histogram* eval_ns[3];  // indexed by Spanner::Evaluator
   obs::Counter* documents;
   obs::Counter* mappings;
-  obs::Counter* prefilter_skipped;
-  obs::Counter* dfa_skipped;
-  obs::Counter* evaluated;
+  // Indexed by ExtractionPlan::Outcome, minus kAcSkipped: that counter is
+  // registered on first use (AcGateSkipped), so a run without a fleet
+  // reports no engine.ac_gate_skipped at all.
+  obs::Counter* landed[4];
 };
 
 const EngineMetrics& Metrics() {
@@ -38,18 +36,24 @@ const EngineMetrics& Metrics() {
     EngineMetrics m;
     m.prefilter_ns = r.GetHistogram("tier.prefilter_ns");
     m.dfa_gate_ns = r.GetHistogram("tier.dfa_gate_ns");
-    m.nfa_sim_ns = r.GetHistogram("tier.nfa_sim_ns");
     m.eval_ns[0] = r.GetHistogram("tier.eval_run_enum_ns");
     m.eval_ns[1] = r.GetHistogram("tier.eval_sequential_ns");
     m.eval_ns[2] = r.GetHistogram("tier.eval_fpt_ns");
     m.documents = r.GetCounter("engine.documents");
     m.mappings = r.GetCounter("engine.mappings");
-    m.prefilter_skipped = r.GetCounter("engine.prefilter_skipped");
-    m.dfa_skipped = r.GetCounter("engine.dfa_skipped");
-    m.evaluated = r.GetCounter("engine.evaluated");
+    m.landed[0] = nullptr;
+    m.landed[1] = r.GetCounter("engine.prefilter_skipped");
+    m.landed[2] = r.GetCounter("engine.dfa_skipped");
+    m.landed[3] = r.GetCounter("engine.evaluated");
     return m;
   }();
   return m;
+}
+
+obs::Counter* AcGateSkipped() {
+  static obs::Counter* c =
+      obs::MetricsRegistry::Global().GetCounter("engine.ac_gate_skipped");
+  return c;
 }
 
 // Static trace labels per evaluator family (trace events keep pointers).
@@ -154,18 +158,25 @@ Result<ExtractionPlan> ExtractionPlan::FromRuleProgram(
                         std::move(key));
 }
 
-bool ExtractionPlan::GateRejects(const Document& doc,
+bool ExtractionPlan::GateRejects(const Document& doc, SharedGate shared,
                                  CancelToken* cancel) const {
+  if (shared == SharedGate::kClauseMiss) {
+    Count(Outcome::kAcSkipped, 0);
+    return true;
+  }
   if (!gating_enabled_) return false;
-  if (prefilter_.CanPrune()) {
+  // A met clause 0 is all a one-clause prefilter would check; with more
+  // clauses the whole prefilter runs (one memmem pass over a document
+  // that is already a rare candidate).
+  const size_t settled = shared == SharedGate::kClauseMet ? 1 : 0;
+  if (prefilter_.clauses().size() > settled) {
     bool pass;
     {
       obs::ObsSpan span(Metrics().prefilter_ns, "prefilter");
       pass = prefilter_.Matches(doc.text(), cancel);
     }
     if (!pass) {
-      counters_->prefilter_skipped.Add(1);
-      if (obs::Enabled()) Metrics().prefilter_skipped->Add(1);
+      Count(Outcome::kPrefilterSkipped, 0);
       return true;
     }
   }
@@ -179,143 +190,68 @@ bool ExtractionPlan::GateRejects(const Document& doc,
     verdict = dfa_->Matches(doc.text(), cancel);
   }
   if (verdict.has_value() && !*verdict) {
-    counters_->dfa_skipped.Add(1);
-    if (obs::Enabled()) Metrics().dfa_skipped->Add(1);
+    Count(Outcome::kDfaSkipped, 0);
     return true;
   }
   return false;
 }
 
-bool ExtractionPlan::Matches(const Document& doc, PlanScratch* scratch) const {
-  CancelToken* cancel = scratch != nullptr ? scratch->cancel : nullptr;
-  if (prefilter_.CanPrune()) {
-    obs::ObsSpan span(Metrics().prefilter_ns, "prefilter");
-    if (!prefilter_.Matches(doc.text(), cancel)) return false;
-  }
-  std::optional<bool> verdict;
-  {
-    obs::ObsSpan span(Metrics().dfa_gate_ns, "dfa_gate");
-    verdict = dfa_->Matches(doc.text(), cancel);
-  }
-  if (verdict.has_value()) {
-    if (!*verdict) return false;
-    // Positive answers are only exact when op-consistency is structural.
-    if (info_.sequential_va) return true;
-  }
-  // Fall back to NFA state-set simulation, on the caller's arena when
-  // one is provided. A tripped token aborts the simulation; the answer is
-  // then meaningless and the caller reads the token, not the bool.
-  obs::ObsSpan span(Metrics().nfa_sim_ns, "nfa_sim");
-  Arena* arena = scratch != nullptr ? &scratch->arena : nullptr;
-  return info_.sequential_va
-             ? MatchesSequential(spanner_.va(), doc, arena, cancel)
-             : EvalVa(spanner_.va(), doc, ExtendedMapping(), arena, cancel);
-}
-
-MappingSet ExtractionPlan::Extract(const Document& doc) const {
-  if (GateRejects(doc, nullptr)) {
-    counters_->documents.Add(1);
-    if (obs::Enabled()) Metrics().documents->Add(1);
-    return MappingSet();
-  }
-  MappingSet out;
-  {
-    obs::ObsSpan span(Metrics().eval_ns[size_t(info_.evaluator)],
-                      kEvalSpanName[size_t(info_.evaluator)]);
-    out = spanner_.ExtractAllWith(info_.evaluator, doc);
-  }
-  counters_->documents.Add(1);
-  counters_->mappings.Add(out.size());
-  if (obs::Enabled()) {
-    Metrics().documents->Add(1);
-    Metrics().evaluated->Add(1);
-    Metrics().mappings->Add(out.size());
-  }
-  return out;
-}
-
-const std::vector<Mapping>& ExtractionPlan::ExtractSorted(
-    const Document& doc, PlanScratch* scratch) const {
-  ExtractSortedInto(doc, scratch, &scratch->sorted);
-  return scratch->sorted;
-}
-
-void ExtractionPlan::ExtractSortedInto(const Document& doc,
-                                       PlanScratch* scratch,
-                                       std::vector<Mapping>* out) const {
-  scratch->pool.RecycleAll(out);  // previous results refill the pool
-  if (GateRejects(doc, scratch->cancel)) {
-    counters_->documents.Add(1);
-    if (obs::Enabled()) Metrics().documents->Add(1);
-    return;  // *out is already the (empty) result
-  }
-  {
-    obs::ObsSpan span(Metrics().eval_ns[size_t(info_.evaluator)],
-                      kEvalSpanName[size_t(info_.evaluator)]);
-    VectorSink sink(out, &scratch->pool);
-    spanner_.ExtractTo(info_.evaluator, doc, &scratch->arena, sink,
-                       scratch->cancel);
-    std::sort(out->begin(), out->end());
-  }
-  counters_->documents.Add(1);
-  counters_->mappings.Add(out->size());
-  if (obs::Enabled()) {
-    Metrics().documents->Add(1);
-    Metrics().evaluated->Add(1);
-    Metrics().mappings->Add(out->size());
-  }
-}
-
-void ExtractionPlan::ExtractSortedPregatedInto(const Document& doc,
-                                               PlanScratch* scratch,
-                                               std::vector<Mapping>* out) const {
-  scratch->pool.RecycleAll(out);
-  {
-    obs::ObsSpan span(Metrics().eval_ns[size_t(info_.evaluator)],
-                      kEvalSpanName[size_t(info_.evaluator)]);
-    VectorSink sink(out, &scratch->pool);
-    spanner_.ExtractTo(info_.evaluator, doc, &scratch->arena, sink,
-                       scratch->cancel);
-    std::sort(out->begin(), out->end());
-  }
-  counters_->documents.Add(1);
-  counters_->mappings.Add(out->size());
-  if (obs::Enabled()) {
-    Metrics().documents->Add(1);
-    Metrics().evaluated->Add(1);
-    Metrics().mappings->Add(out->size());
-  }
-}
-
-void ExtractionPlan::ExtractTo(const Document& doc, PlanScratch* scratch,
-                               MappingSink& sink) const {
-  if (GateRejects(doc, scratch->cancel)) {
-    counters_->documents.Add(1);
-    if (obs::Enabled()) Metrics().documents->Add(1);
-    return;
-  }
+void ExtractionPlan::Evaluate(const Document& doc, PlanScratch* scratch,
+                              MappingSink& sink,
+                              std::vector<Mapping>* sorted) const {
   CountingSink counting(sink);
   {
     obs::ObsSpan span(Metrics().eval_ns[size_t(info_.evaluator)],
                       kEvalSpanName[size_t(info_.evaluator)]);
     spanner_.ExtractTo(info_.evaluator, doc, &scratch->arena, counting,
                        scratch->cancel);
+    if (sorted != nullptr) std::sort(sorted->begin(), sorted->end());
   }
-  counters_->documents.Add(1);
-  counters_->mappings.Add(counting.count());
-  if (obs::Enabled()) {
-    Metrics().documents->Add(1);
-    Metrics().evaluated->Add(1);
-    Metrics().mappings->Add(counting.count());
-  }
+  Count(Outcome::kEvaluated, counting.count());
+}
+
+void ExtractionPlan::Count(Outcome outcome, uint64_t mappings) const {
+  counters_->landed[size_t(outcome)].Add(1);
+  if (outcome == Outcome::kEvaluated) counters_->mappings.Add(mappings);
+  if (!obs::Enabled()) return;
+  const EngineMetrics& m = Metrics();
+  m.documents->Add(1);
+  (outcome == Outcome::kAcSkipped ? AcGateSkipped()
+                                  : m.landed[size_t(outcome)])
+      ->Add(1);
+  if (outcome == Outcome::kEvaluated) m.mappings->Add(mappings);
+}
+
+void ExtractionPlan::ExtractSortedInto(const Document& doc,
+                                       PlanScratch* scratch,
+                                       std::vector<Mapping>* out) const {
+  ExtractSortedInto(doc, SharedGate::kNone, scratch, out);
+}
+
+void ExtractionPlan::ExtractSortedInto(const Document& doc, SharedGate shared,
+                                       PlanScratch* scratch,
+                                       std::vector<Mapping>* out) const {
+  scratch->pool.RecycleAll(out);  // previous results refill the pool
+  if (GateRejects(doc, shared, scratch->cancel)) return;  // *out is empty
+  VectorSink sink(out, &scratch->pool);
+  Evaluate(doc, scratch, sink, out);
+}
+
+void ExtractionPlan::ExtractTo(const Document& doc, PlanScratch* scratch,
+                               MappingSink& sink) const {
+  if (GateRejects(doc, SharedGate::kNone, scratch->cancel)) return;
+  Evaluate(doc, scratch, sink, nullptr);
 }
 
 PlanStats ExtractionPlan::stats() const {
   PlanStats s;
-  s.documents = counters_->documents.Load();
+  s.ac_gate_skipped = counters_->landed[size_t(Outcome::kAcSkipped)].Load();
+  s.prefilter_skipped =
+      counters_->landed[size_t(Outcome::kPrefilterSkipped)].Load();
+  s.dfa_skipped = counters_->landed[size_t(Outcome::kDfaSkipped)].Load();
   s.mappings = counters_->mappings.Load();
-  s.prefilter_skipped = counters_->prefilter_skipped.Load();
-  s.dfa_skipped = counters_->dfa_skipped.Load();
+  s.documents = counters_->landed[size_t(Outcome::kEvaluated)].Load() +
+                s.ac_gate_skipped + s.prefilter_skipped + s.dfa_skipped;
   return s;
 }
 

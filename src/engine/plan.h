@@ -49,12 +49,10 @@ struct PlanInfo {
   std::string ToString() const;
 };
 
-/// Reusable per-thread scratch for Extract calls: arenas, the sorting
-/// buffer and the pooled result storage survive across documents (the
-/// arenas are Reset(), not freed, between them), so steady-state
-/// extraction does not touch malloc.
+/// Reusable per-thread scratch for Extract calls: arenas and the pooled
+/// result storage survive across documents (the arenas are Reset(), not
+/// freed, between them), so steady-state extraction does not touch malloc.
 struct PlanScratch {
-  std::vector<Mapping> sorted;
   /// Evaluator scratch; Reset() by the leaf evaluators per extraction.
   Arena arena;
   /// Relational-operator scratch (join tables, dedup sets) for compiled
@@ -75,20 +73,22 @@ struct PlanScratch {
   CancelToken* cancel = nullptr;
 };
 
-/// Monotonic extraction counters; safe under concurrent Extract calls.
-/// Also the per-plan stats unit of multi-query runs (MultiQueryExtractor
-/// aggregates one PlanStats per resident plan).
+/// Monotonic extraction counters of one plan; safe under concurrent
+/// extraction. They count every time a document is offered to the plan,
+/// whoever offers it: a batch over the plan alone, a query scan, or any
+/// MultiQueryExtractor fleet that holds the plan. A plan listed twice in
+/// one fleet is offered each document twice and counts it twice.
 ///
-/// Counter semantics. `documents` counts every document OFFERED to the
-/// plan (skipped or not); each offered document lands in exactly one of
-/// the four disjoint outcomes {ac_gate_skipped, prefilter_skipped,
-/// dfa_skipped, evaluated()}, so
+/// Counter semantics. Each offered document lands in exactly one of the
+/// four disjoint outcomes {ac_gate_skipped, prefilter_skipped,
+/// dfa_skipped, evaluated()}, and `documents` is their sum:
 ///     documents == ac_gate_skipped + prefilter_skipped + dfa_skipped
 ///                  + evaluated().
 /// The skip counters record which tier REJECTED the document (cheapest
 /// tier first — a document the AC pass rejects is never offered to the
 /// prefilter, and so on); `mappings` accumulates only over evaluated
-/// documents. With gating disabled every document is evaluated.
+/// documents. With the plan's gating disabled only a fleet's shared AC
+/// pass can skip a document.
 struct PlanStats {
   uint64_t documents = 0;
   uint64_t mappings = 0;
@@ -102,8 +102,7 @@ struct PlanStats {
   /// literal rejections under prefilter_skipped.
   uint64_t ac_gate_skipped = 0;
 
-  /// Documents that survived every gate and reached an evaluator
-  /// (derived: documents minus the three tier-skip counters).
+  /// Documents that survived every gate and reached an evaluator.
   uint64_t evaluated() const {
     const uint64_t skipped =
         ac_gate_skipped + prefilter_skipped + dfa_skipped;
@@ -132,8 +131,8 @@ class DocumentExtractor {
   virtual const VarSet& vars() const = 0;
 
   /// Fills *out (cleared first) with the document's unique mappings in
-  /// Mapping::operator< order. `scratch` supplies arenas, pooled mapping
-  /// storage and sort buffers; one scratch per worker thread.
+  /// Mapping::operator< order. `scratch` supplies arenas and pooled
+  /// mapping storage; one scratch per worker thread.
   virtual void ExtractSortedInto(const Document& doc, PlanScratch* scratch,
                                  std::vector<Mapping>* out) const = 0;
 
@@ -174,46 +173,38 @@ class ExtractionPlan : public DocumentExtractor {
   const Prefilter* required_literals() const override { return &prefilter_; }
   const LazyDfa& lazy_dfa() const { return *dfa_; }
 
-  /// Turns the prefilter + lazy-DFA document gate off (on by default).
-  /// For benchmarks and differential tests; set before sharing the plan
-  /// across threads.
+  /// Turns the prefilter + lazy-DFA document gate off (on by default),
+  /// also when a fleet runs the plan. For benchmarks and differential
+  /// tests; set before sharing the plan across threads.
   void set_gating_enabled(bool on) { gating_enabled_ = on; }
   bool gating_enabled() const { return gating_enabled_; }
 
-  /// NonEmp on one document: ⟦γ⟧_doc ≠ ∅, deciding via the cheapest
-  /// sufficient tier — literal prefilter, then the cached lazy DFA (exact
-  /// for sequential VAs), then NFA state-set simulation. Thread-safe.
-  /// `scratch`, when given, supplies the simulation tier's arena (its
-  /// extraction arena is Reset() by that tier), making repeated oracle
-  /// calls allocation-free.
-  bool Matches(const Document& doc, PlanScratch* scratch = nullptr) const;
-
-  /// ⟦γ⟧_doc with the plan's chosen evaluator. Thread-safe.
-  MappingSet Extract(const Document& doc) const;
-
-  /// Extract + deterministic ordering (Mapping::operator<). The returned
-  /// reference points into `scratch` and is valid until its next use.
-  const std::vector<Mapping>& ExtractSorted(const Document& doc,
-                                            PlanScratch* scratch) const;
-
-  /// Like ExtractSorted but fills *out directly (cleared first), using
-  /// `scratch`'s arena for all transient evaluator state and recycling
-  /// *out's previous mappings through the scratch pool. The engine's
-  /// per-document hot path: zero heap traffic once arena and pool have
-  /// reached their high-water marks.
+  /// Fills *out (cleared first, its previous mappings recycled through the
+  /// scratch pool) with the document's unique mappings in Mapping::operator<
+  /// order. The engine's per-document hot path: zero heap traffic once
+  /// arena and pool have reached their high-water marks.
   void ExtractSortedInto(const Document& doc, PlanScratch* scratch,
                          std::vector<Mapping>* out) const override;
 
-  /// ExtractSortedInto for a document an outer tier has already gated:
-  /// skips this plan's own prefilter + lazy-DFA scan (the multi-query
-  /// extractor decides both from its shared corpus pass) and goes straight
-  /// to the evaluator. Counters for documents/mappings are still bumped.
-  void ExtractSortedPregatedInto(const Document& doc, PlanScratch* scratch,
-                                 std::vector<Mapping>* out) const;
+  /// What a fleet's shared Aho–Corasick pass (MultiQueryExtractor) found
+  /// for this plan in one document.
+  enum class SharedGate : uint8_t {
+    kNone,        // the plan takes no part in a shared pass
+    kClauseMet,   // some literal of prefilter().clauses()[0] occurs
+    kClauseMiss,  // none does: the document has no mappings
+  };
+
+  /// ExtractSortedInto for a fleet member, told what the shared pass
+  /// decided. kClauseMiss skips the document outright; kClauseMet skips
+  /// the prefilter when clause 0 is its only clause (with more clauses it
+  /// runs the whole prefilter); then the lazy DFA and the evaluator run
+  /// as in ExtractSortedInto.
+  void ExtractSortedInto(const Document& doc, SharedGate shared,
+                         PlanScratch* scratch,
+                         std::vector<Mapping>* out) const;
 
   /// Streams ⟦γ⟧_doc into `sink` in the evaluator's (unsorted) order —
-  /// the composable primitive used by algebra scan nodes. Counters are
-  /// still maintained.
+  /// the composable primitive used by algebra scan nodes.
   void ExtractTo(const Document& doc, PlanScratch* scratch,
                  MappingSink& sink) const;
 
@@ -223,11 +214,30 @@ class ExtractionPlan : public DocumentExtractor {
  private:
   ExtractionPlan(Spanner spanner, std::string pattern);
 
-  /// True when the document provably has no mappings (literal prefilter
-  /// or lazy-DFA gate rejected it); bumps the matching skip counter.
-  /// A tripped `cancel` answers false (no proof): the evaluator stage
-  /// notices the trip immediately and aborts there.
-  bool GateRejects(const Document& doc, CancelToken* cancel) const;
+  /// Where one offered document landed; indexes Counters::landed.
+  enum class Outcome : uint8_t {
+    kAcSkipped,
+    kPrefilterSkipped,
+    kDfaSkipped,
+    kEvaluated,
+  };
+
+  /// The gate cascade: true when the document provably has no mappings
+  /// (the shared pass, the literal prefilter or the lazy DFA rejected
+  /// it), counted as that tier's skip. A tripped `cancel` answers false
+  /// (no proof): the evaluator stage notices the trip and aborts there.
+  bool GateRejects(const Document& doc, SharedGate shared,
+                   CancelToken* cancel) const;
+
+  /// The evaluator stage: streams ⟦γ⟧_doc into `sink` under the
+  /// tier.eval_* span, sorts *sorted (the vector behind `sink`) when
+  /// given, and counts the document as evaluated.
+  void Evaluate(const Document& doc, PlanScratch* scratch, MappingSink& sink,
+                std::vector<Mapping>* sorted) const;
+
+  /// Records where a document landed: the plan's counters and, with
+  /// telemetry on, the engine.* registry counters.
+  void Count(Outcome outcome, uint64_t mappings) const;
 
   Spanner spanner_;
   std::string pattern_;
@@ -238,13 +248,12 @@ class ExtractionPlan : public DocumentExtractor {
   bool gating_enabled_ = true;
   // Per-plan stats on the telemetry subsystem's sharded-counter primitive
   // (obs::Counter): always-on — PlanStats works without enabling obs —
-  // and contention-free across worker threads. unique_ptr keeps the plan
-  // movable despite the embedded atomics.
+  // and contention-free across worker threads. No `documents` counter:
+  // stats() derives it, so a skipped document costs one add. unique_ptr
+  // keeps the plan movable despite the embedded atomics.
   struct Counters {
-    obs::Counter documents;
+    obs::Counter landed[4];  // indexed by Outcome
     obs::Counter mappings;
-    obs::Counter prefilter_skipped;
-    obs::Counter dfa_skipped;
   };
   std::unique_ptr<Counters> counters_;
 };

@@ -600,13 +600,6 @@ std::string CompiledQuery::PlanString() const {
 
 size_t CompiledQuery::num_scans() const { return root_->CountScans(); }
 
-MappingSet CompiledQuery::Extract(const Document& doc) const {
-  engine::PlanScratch scratch;
-  std::vector<Mapping> out;
-  ExtractSortedInto(doc, &scratch, &out);
-  return MappingSet(std::move(out));
-}
-
 void CompiledQuery::ExtractSortedInto(const Document& doc,
                                       engine::PlanScratch* scratch,
                                       std::vector<Mapping>* out) const {
@@ -615,13 +608,6 @@ void CompiledQuery::ExtractSortedInto(const Document& doc,
   VectorSink sink(out, &scratch->pool);
   root_->Evaluate(doc, scratch, sink);
   std::sort(out->begin(), out->end());
-}
-
-void CompiledQuery::ExtractTo(const Document& doc,
-                              engine::PlanScratch* scratch,
-                              MappingSink& sink) const {
-  scratch->query_arena.Reset();
-  root_->Evaluate(doc, scratch, sink);
 }
 
 }  // namespace query

@@ -69,17 +69,9 @@ class CompiledQuery : public engine::DocumentExtractor {
   /// fused into a single VA.
   size_t num_scans() const;
 
-  /// ⟦expr⟧_doc, self-contained (allocates private scratch).
-  MappingSet Extract(const Document& doc) const;
-
   /// Engine hot path: unique mappings in Mapping::operator< order.
   void ExtractSortedInto(const Document& doc, engine::PlanScratch* scratch,
                          std::vector<Mapping>* out) const override;
-
-  /// Streams the document's unique mappings into `sink` in unspecified
-  /// order (no sort barrier).
-  void ExtractTo(const Document& doc, engine::PlanScratch* scratch,
-                 MappingSink& sink) const;
 
  private:
   CompiledQuery(std::shared_ptr<const PhysicalNode> root, VarSet vars,

@@ -546,18 +546,11 @@ std::shared_ptr<const engine::MultiQueryExtractor> Server::SessionFleet(
     plans.reserve(conn->regs.size());
     for (const Connection::Registration& reg : conn->regs)
       plans.push_back(reg.plan);
-    auto fleet =
-        std::make_shared<const engine::MultiQueryExtractor>(plans);
-    if (options_.memory_budget_bytes > 0 &&
-        fleet->ApproxMemoryBytes() > options_.memory_budget_bytes) {
-      // Over the serving memory budget: drop the shared gate (the only
-      // non-trivial fleet allocation) and serve gateless — byte-identical
-      // answers, per-plan filtering only.
-      fleet = std::make_shared<const engine::MultiQueryExtractor>(
-          std::move(plans), /*build_shared_gate=*/false);
+    bool degraded = false;
+    conn->fleet = engine::BuildFleetWithinBudget(
+        std::move(plans), options_.memory_budget_bytes, &degraded);
+    if (degraded)
       MarkDegraded("fleet memory budget exceeded; shared gate disabled");
-    }
-    conn->fleet = std::move(fleet);
   }
   return conn->fleet;
 }
@@ -835,10 +828,8 @@ void Server::Execute(const WorkItem& item) {
       EmitLine(item.conn, OkPrefix(item.id) + ",\"op\":\"ping\"}");
       return;
     case WorkOp::kExtract:
-      ExecuteExtract(item);
-      return;
     case WorkOp::kExtractBatch:
-      ExecuteExtractBatch(item);
+      ExecuteExtract(item);
       return;
   }
 }
@@ -892,46 +883,6 @@ bool Server::FinishRequest(const WorkItem& item) {
 
 void Server::ExecuteExtract(const WorkItem& item) {
   const engine::MultiQueryExtractor& fleet = *item.fleet;
-  engine::Corpus one;
-  one.Add(Document(item.doc));
-  batch_.set_cancel(item.cancel.get());
-  const engine::MultiBatchResult result = batch_.ExtractMulti(fleet, one);
-  batch_.set_cancel(nullptr);
-  // A tripped token makes `result` partial garbage: the error line is
-  // the whole answer.
-  if (FinishRequest(item)) return;
-
-  std::vector<std::string> rows = item.header
-                                      ? SessionHeaderRows(fleet, item.format)
-                                      : std::vector<std::string>();
-  const bool single = fleet.num_plans() == 1;
-  const Document& doc = one[0];
-  std::string row;
-  uint64_t mappings = 0;
-  for (size_t p = 0; p < fleet.num_plans(); ++p) {
-    const VarSet& vars = fleet.plan(p).vars();
-    for (const Mapping& m : result.per_plan[p].per_doc[0]) {
-      row.clear();
-      if (single) {
-        engine::AppendMappingRow(&row, item.format, item.doc_index, m, vars,
-                                 doc);
-      } else {
-        engine::AppendFleetMappingRow(&row, item.format, p, item.doc_index, m,
-                                      vars, doc);
-      }
-      row.pop_back();  // rows travel bare; the helper appended '\n'
-      rows.push_back(row);
-      ++mappings;
-    }
-  }
-  if (!rows.empty() && !EmitRowsChunk(item.conn, item.id, rows)) return;
-  EmitLine(item.conn, OkPrefix(item.id) + ",\"done\":true,\"mappings\":" +
-                          std::to_string(mappings) + ",\"matched_docs\":" +
-                          std::to_string(mappings > 0 ? 1 : 0) + "}");
-}
-
-void Server::ExecuteExtractBatch(const WorkItem& item) {
-  const engine::MultiQueryExtractor& fleet = *item.fleet;
   const bool single = fleet.num_plans() == 1;
 
   std::vector<std::string> rows;
@@ -963,13 +914,23 @@ void Server::ExecuteExtractBatch(const WorkItem& item) {
     for (std::string& h : SessionHeaderRows(fleet, item.format))
       push_row(std::move(h));
 
-  // One bounded-window streaming pass over the in-memory corpus or the
-  // index-narrowed segment: shards arrive in corpus order while later
+  // One bounded-window streaming pass over the extract's one document
+  // (its rows numbered from doc_index), or over the in-memory corpus or
+  // the index-narrowed segment: shards arrive in corpus order while later
   // shards extract, and the EmitRowsChunk watermark block propagates
   // backpressure into shard production.
+  engine::Corpus one;
+  size_t first_index = 0;
+  if (item.op == WorkOp::kExtract) {
+    one.Add(Document(item.doc));
+    first_index = item.doc_index;
+  }
+  const bool from_store =
+      item.op == WorkOp::kExtractBatch && store_.has_value();
   engine::IndexedStats index_stats;
   const engine::DocumentSource source =
-      store_.has_value()
+      item.op == WorkOp::kExtract ? engine::DocumentSource(one)
+      : from_store
           ? engine::DocumentSource(*store_,
                                    index_.has_value() ? &*index_ : nullptr,
                                    &index_stats)
@@ -990,10 +951,11 @@ void Server::ExecuteExtractBatch(const WorkItem& item) {
               if (doc == nullptr) doc = &source.doc(i, &held);
               row.clear();
               if (single) {
-                engine::AppendMappingRow(&row, item.format, i, m, vars, *doc);
+                engine::AppendMappingRow(&row, item.format, first_index + i,
+                                         m, vars, *doc);
               } else {
-                engine::AppendFleetMappingRow(&row, item.format, p, i, m,
-                                              vars, *doc);
+                engine::AppendFleetMappingRow(&row, item.format, p,
+                                              first_index + i, m, vars, *doc);
               }
               row.pop_back();
               push_row(row);
@@ -1001,7 +963,7 @@ void Server::ExecuteExtractBatch(const WorkItem& item) {
           }
         }
       });
-  if (store_.has_value()) {
+  if (from_store) {
     std::lock_guard<std::mutex> lk(indexed_stats_mu_);
     have_indexed_stats_ = true;
     last_indexed_stats_ = index_stats;

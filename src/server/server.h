@@ -217,8 +217,9 @@ class Server {
   // --- executor thread ----------------------------------------------
   void ExecutorLoop();
   void Execute(const WorkItem& item);
+  /// extract and extract_batch: one streaming pass of the item's fleet
+  /// over its one document, or over the server's corpus.
   void ExecuteExtract(const WorkItem& item);
-  void ExecuteExtractBatch(const WorkItem& item);
   /// Post-extraction epilogue: records the request's peak arena bytes
   /// and, when its token tripped, emits the matching error line and bumps
   /// the matching counter. True ⇒ the request ended in an error; the

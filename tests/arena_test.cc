@@ -336,7 +336,7 @@ TEST(FlatMappingSetTest, AgreesWithMappingSetOnRandomInput) {
 
 // ---- arena-backed evaluation matches the wrapper API --------------------
 
-TEST(ArenaEvalTest, RunEvalIntoMatchesRunEvalAndIsReusable) {
+TEST(ArenaEvalTest, RunEvalToMatchesRunEvalAndIsReusable) {
   Spanner s = Spanner::FromPattern(
                   ".*Seller: (x{[^,\\n]*}), Tax: (y{[0-9]*}).*")
                   .ValueOrDie();
@@ -348,7 +348,8 @@ TEST(ArenaEvalTest, RunEvalIntoMatchesRunEvalAndIsReusable) {
   Arena arena;  // one arena reused across all documents
   for (const Document& doc : docs) {
     std::vector<Mapping> got;
-    RunEvalInto(s.va(), doc, &arena, &got);
+    VectorSink sink(&got);
+    RunEvalTo(s.va(), doc, &arena, sink);
     std::sort(got.begin(), got.end());
     std::vector<Mapping> want = RunEval(s.va(), doc).Sorted();
     EXPECT_EQ(got, want) << doc.text();

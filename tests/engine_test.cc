@@ -16,6 +16,15 @@ namespace spanners {
 namespace engine {
 namespace {
 
+// ⟦γ⟧_doc through the plan's per-document path (gate, evaluator,
+// counters), with private scratch.
+MappingSet ExtractOne(const ExtractionPlan& plan, const Document& doc) {
+  PlanScratch scratch;
+  std::vector<Mapping> out;
+  plan.ExtractSortedInto(doc, &scratch, &out);
+  return MappingSet(std::move(out));
+}
+
 // ---- Corpus ------------------------------------------------------------
 
 TEST(CorpusTest, FromDelimitedSplitsAtNewlines) {
@@ -159,8 +168,8 @@ TEST(PlanTest, DeepestAcceptedPatternsCompileAndExtract) {
   for (const std::string& pattern : patterns) {
     Result<ExtractionPlan> plan = ExtractionPlan::Compile(pattern);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    EXPECT_EQ(plan->Extract(Document("aa")).size(), 1u);
-    EXPECT_EQ(plan->Extract(Document("b")).size(), 0u);
+    EXPECT_EQ(ExtractOne(*plan, Document("aa")).size(), 1u);
+    EXPECT_EQ(ExtractOne(*plan, Document("b")).size(), 0u);
   }
 }
 
@@ -185,10 +194,15 @@ TEST(PlanTest, EveryEvaluatorAgreesWithRunSemantics) {
   Document doc = workload::LandRegistryDocument(o);
   MappingSet truth = s.ExtractAll(doc);
   ASSERT_FALSE(truth.empty());
-  EXPECT_EQ(s.ExtractAllWith(Spanner::Evaluator::kRunEnumeration, doc), truth);
-  EXPECT_EQ(s.ExtractAllWith(Spanner::Evaluator::kSequentialDelay, doc),
-            truth);
-  EXPECT_EQ(s.ExtractAllWith(Spanner::Evaluator::kFptDelay, doc), truth);
+  auto extract_with = [&](Spanner::Evaluator evaluator) {
+    Arena arena;
+    std::vector<Mapping> out;
+    s.ExtractAllInto(evaluator, doc, &arena, &out);
+    return MappingSet(std::move(out));
+  };
+  EXPECT_EQ(extract_with(Spanner::Evaluator::kRunEnumeration), truth);
+  EXPECT_EQ(extract_with(Spanner::Evaluator::kSequentialDelay), truth);
+  EXPECT_EQ(extract_with(Spanner::Evaluator::kFptDelay), truth);
 }
 
 TEST(PlanTest, RecommendedEvaluatorPrefersRunEnumerationForFewVars) {
@@ -198,25 +212,27 @@ TEST(PlanTest, RecommendedEvaluatorPrefersRunEnumerationForFewVars) {
 
 TEST(PlanTest, StatsCountDocumentsAndMappings) {
   ExtractionPlan p = ExtractionPlan::Compile("x{a*}").ValueOrDie();
-  p.Extract(Document("aa"));
-  p.Extract(Document(""));
+  ExtractOne(p, Document("aa"));
+  ExtractOne(p, Document(""));
   PlanStats stats = p.stats();
   EXPECT_EQ(stats.documents, 2u);
   // Exact mapping count is pinned by the extraction itself, not guessed:
-  uint64_t expected = p.Extract(Document("aa")).size() + 1;  // "" has {ε}
+  uint64_t expected = ExtractOne(p, Document("aa")).size() + 1;  // "" has {ε}
   EXPECT_EQ(stats.mappings, expected);
 }
 
-TEST(PlanTest, ExtractSortedIsSortedAndReusesScratch) {
+TEST(PlanTest, ExtractSortedIntoIsSortedAndRecyclesOutput) {
   ExtractionPlan p =
       ExtractionPlan::Compile(".*(x{[a-z]+}).*").ValueOrDie();
   PlanScratch scratch;
-  const std::vector<Mapping>& out =
-      p.ExtractSorted(Document("ab cd"), &scratch);
+  std::vector<Mapping> out;
+  p.ExtractSortedInto(Document("ab cd"), &scratch, &out);
   ASSERT_GT(out.size(), 1u);
   for (size_t i = 0; i + 1 < out.size(); ++i) EXPECT_TRUE(out[i] < out[i + 1]);
-  const std::vector<Mapping>& again = p.ExtractSorted(Document("z"), &scratch);
-  EXPECT_EQ(&again, &out);  // same buffer, reused
+  const size_t first = out.size();
+  p.ExtractSortedInto(Document("z"), &scratch, &out);
+  EXPECT_EQ(out.size(), 1u);  // cleared first, not appended to
+  EXPECT_GE(scratch.pool.free_count(), first - 1);  // storage recycled
 }
 
 // ---- PlanCache ---------------------------------------------------------
@@ -263,7 +279,7 @@ TEST(PlanCacheTest, EvictedPlanStaysUsable) {
   auto plan = cache.GetOrCompile("x{a*}").ValueOrDie();
   cache.GetOrCompile("b*").ValueOrDie();  // evicts x{a*}
   EXPECT_EQ(cache.Peek("x{a*}"), nullptr);
-  EXPECT_EQ(plan->Extract(Document("a")).size(), 1u);  // still works
+  EXPECT_EQ(ExtractOne(*plan, Document("a")).size(), 1u);  // still works
 }
 
 TEST(PlanCacheTest, ClearDropsEverything) {
@@ -329,10 +345,9 @@ TEST(BatchExtractorTest, ArenaBackedOutputByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one, formatted(8));
 }
 
-// ExtractSortedInto (the arena path used by the engine) must agree with
-// the allocation-per-call Extract().Sorted() path, with one scratch
-// reused — Reset(), not freed — across documents.
-TEST(ExtractionPlanTest, ExtractSortedIntoMatchesExtractAcrossDocuments) {
+// ExtractSortedInto with one scratch reused — Reset(), not freed — across
+// documents must agree with a fresh scratch per call.
+TEST(ExtractionPlanTest, ExtractSortedIntoMatchesFreshScratchAcrossDocuments) {
   workload::CorpusOptions o;
   o.documents = 32;
   o.rows_per_document = 3;
@@ -344,7 +359,7 @@ TEST(ExtractionPlanTest, ExtractSortedIntoMatchesExtractAcrossDocuments) {
   std::vector<Mapping> got;
   for (const Document& doc : corpus) {
     plan.ExtractSortedInto(doc, &scratch, &got);
-    EXPECT_EQ(got, plan.Extract(doc).Sorted());
+    EXPECT_EQ(got, ExtractOne(plan, doc).Sorted());
   }
   EXPECT_GT(scratch.arena.bytes_reserved(), 0u);
 }
@@ -486,7 +501,9 @@ TEST(GateTest, NeedleCorpusIsGateSkippedButResultIdentical) {
   EXPECT_EQ(plain.stats().prefilter_skipped, 0u);
 }
 
-TEST(GateTest, PlanMatchesAgreesWithSpannerMatches) {
+// The gate cascade may skip a document only when ⟦γ⟧_doc is empty, so a
+// plan's result is non-empty exactly when NonEmp holds.
+TEST(GateTest, PlanNonEmptinessAgreesWithSpannerMatches) {
   std::mt19937 rng(43);
   workload::RandomRgxOptions o;
   o.num_vars = 2;
@@ -495,13 +512,15 @@ TEST(GateTest, PlanMatchesAgreesWithSpannerMatches) {
   for (int round = 0; round < 25; ++round) {
     RgxPtr rgx = workload::RandomRgx(o, &rng);
     ExtractionPlan plan = ExtractionPlan::FromSpanner(Spanner::FromRgx(rgx));
-    PlanScratch scratch;  // reused: the fallback tier must Reset() it
+    PlanScratch scratch;  // reused: the evaluator must Reset() it
+    std::vector<Mapping> out;
     for (int d = 0; d < 15; ++d) {
       Document doc = workload::RandomDocument("ab", len_pick(rng), &rng);
       bool want = plan.spanner().Matches(doc);
-      EXPECT_EQ(plan.Matches(doc), want)
+      EXPECT_EQ(!ExtractOne(plan, doc).empty(), want)
           << "round " << round << " doc '" << doc.text() << "'";
-      EXPECT_EQ(plan.Matches(doc, &scratch), want)
+      plan.ExtractSortedInto(doc, &scratch, &out);
+      EXPECT_EQ(!out.empty(), want)
           << "round " << round << " doc '" << doc.text() << "' (scratch)";
     }
   }

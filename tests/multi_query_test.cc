@@ -92,8 +92,7 @@ TEST(MultiQueryTest, RandomPlansGatedFleetMatchesUngatedFleet) {
     Corpus corpus(std::move(docs));
 
     MultiQueryExtractor gated(plans);
-    MultiQueryExtractor ungated(plain_plans);
-    ungated.set_gating_enabled(false);
+    MultiQueryExtractor ungated(plain_plans, /*build_shared_gate=*/false);
 
     for (size_t threads : {1u, 2u}) {
       BatchOptions bo;
@@ -180,6 +179,13 @@ TEST(MultiQueryTest, PerPlanStatsAccountForEveryDocument) {
     EXPECT_GT(s.ac_gate_skipped, 0u) << p;
     EXPECT_EQ(s.mappings, result.per_plan[p].total_mappings) << p;
     EXPECT_FALSE(s.ToString().empty());
+    // The fleet reports the plan's own counters.
+    const PlanStats own = fleet.plan(p).stats();
+    EXPECT_EQ(own.documents, s.documents) << p;
+    EXPECT_EQ(own.mappings, s.mappings) << p;
+    EXPECT_EQ(own.ac_gate_skipped, s.ac_gate_skipped) << p;
+    EXPECT_EQ(own.prefilter_skipped, s.prefilter_skipped) << p;
+    EXPECT_EQ(own.dfa_skipped, s.dfa_skipped) << p;
   }
   EXPECT_NE(fleet.ToString().find("4 plans"), std::string::npos);
 }

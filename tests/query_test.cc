@@ -32,6 +32,15 @@ using engine::Corpus;
 using engine::PlanCache;
 using engine::PlanScratch;
 
+// ⟦·⟧_doc through the engine's per-document path, with private scratch.
+MappingSet ExtractOne(const engine::DocumentExtractor& extractor,
+                      const Document& doc) {
+  PlanScratch scratch;
+  std::vector<Mapping> out;
+  extractor.ExtractSortedInto(doc, &scratch, &out);
+  return MappingSet(std::move(out));
+}
+
 ExprPtr MustPattern(std::string_view pattern) {
   auto e = SpannerExpr::Pattern(pattern);
   EXPECT_TRUE(e.ok()) << e.status().ToString();
@@ -106,7 +115,7 @@ MappingSet OracleEval(const ExprPtr& e, const Document& doc) {
 // vacuously empty-vs-empty.
 size_t ExpectMatchesOracle(const ExprPtr& e, const Document& doc) {
   CompiledQuery q = MustCompile(e);
-  MappingSet got = q.Extract(doc);
+  MappingSet got = ExtractOne(q, doc);
   MappingSet want = OracleEval(e, doc);
   EXPECT_EQ(got, want) << "query: " << e->ToString() << "\nplan: "
                        << q.PlanString() << "\ndoc: \"" << doc.text()
@@ -217,7 +226,7 @@ TEST(QueryParserTest, DeepestAcceptedNestingCompilesAndExtracts) {
        {NestedProjects(kMaxNestingDepth - 1),
         Chain("union", kMaxNestingDepth)}) {
     CompiledQuery q = MustCompile(MustParse(deepest));
-    EXPECT_EQ(q.Extract(Document("a")).size(), 1u);
+    EXPECT_EQ(ExtractOne(q, Document("a")).size(), 1u);
   }
 }
 
@@ -410,8 +419,8 @@ TEST(QueryCacheTest, RawPatternAndCanonicalQueryKeysDoNotCollide) {
   CompiledQuery q = MustCompile(MustParse("rgx(\"a\")"), &cache);
 
   Document doc("a");
-  EXPECT_EQ(q.Extract(doc).size(), 1u);  // the pattern `a` matches
-  EXPECT_TRUE((*literal)->Extract(doc).empty());  // the literal does not
+  EXPECT_EQ(ExtractOne(q, doc).size(), 1u);  // the pattern `a` matches
+  EXPECT_TRUE(ExtractOne(**literal, doc).empty());  // the literal does not
   EXPECT_EQ(cache.stats().size, 2u);  // two distinct entries
 
   // Nor can a malformed pattern spelling a reserved query key be served
@@ -443,39 +452,6 @@ TEST(QueryBatchTest, BatchOutputIsThreadCountIndependent) {
   ASSERT_EQ(r1.per_doc.size(), r8.per_doc.size());
   EXPECT_EQ(r1.per_doc, r8.per_doc);
   EXPECT_GT(r1.total_mappings, 0u);
-}
-
-TEST(QueryBatchTest, FormattingSinkStreamsRowsWithoutMaterializing) {
-  ExprPtr e = MustParse("join(rgx(\"x{a*}b.*\"), rgx(\"x{a*}b(y{b*})\"))");
-  CompiledQuery q = MustCompile(e);
-  Document doc("aabb");
-  PlanScratch scratch;
-
-  // Stream straight from the operator tree into formatted rows.
-  std::string streamed;
-  engine::FormattingSink rows(engine::OutputFormat::kTsv, 0, q.vars(), doc,
-                              &streamed, &scratch.pool);
-  q.ExtractTo(doc, &scratch, rows);
-
-  // Reference: materialize + format, then compare as line multisets
-  // (streaming order is the producer's, not sorted).
-  std::vector<Mapping> out;
-  q.ExtractSortedInto(doc, &scratch, &out);
-  std::vector<std::string> want;
-  for (const Mapping& m : out)
-    want.push_back(engine::ToTsvRow(0, m, q.vars(), doc));
-  std::vector<std::string> got;
-  size_t start = 0;
-  while (start < streamed.size()) {
-    size_t nl = streamed.find('\n', start);
-    got.push_back(streamed.substr(start, nl - start));
-    start = nl + 1;
-  }
-  std::sort(got.begin(), got.end());
-  std::sort(want.begin(), want.end());
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(rows.rows(), out.size());
-  EXPECT_GT(rows.rows(), 0u);
 }
 
 TEST(QueryBatchTest, ExtractSortedIntoReusesScratchAcrossDocuments) {

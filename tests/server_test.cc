@@ -475,6 +475,21 @@ TEST(ServerTest, StatsReportsServerSection) {
   EXPECT_EQ(server_section->IntOr("connections_open", -1), 1);
   EXPECT_FALSE(response->StringOr("text", "").empty());
 
+  // The served plan stats account for every corpus document the batch
+  // offered the plan, skipped or evaluated.
+  const JsonValue* plans = report->Find("plans");
+  ASSERT_NE(plans, nullptr);
+  ASSERT_EQ(plans->items().size(), 1u);
+  const JsonValue* plan_stats = plans->items()[0].Find("stats");
+  ASSERT_NE(plan_stats, nullptr);
+  const int64_t documents = plan_stats->IntOr("documents", -1);
+  EXPECT_EQ(documents, int64_t(TestCorpus().size()));
+  EXPECT_EQ(plan_stats->IntOr("ac_gate_skipped", -1) +
+                plan_stats->IntOr("prefilter_skipped", -1) +
+                plan_stats->IntOr("dfa_skipped", -1) +
+                plan_stats->IntOr("evaluated", -1),
+            documents);
+
   // The snapshot is per-instance: a second server must start from zero
   // even though the obs registry is process-global.
   RunningServer fresh(ServerOptions{});
