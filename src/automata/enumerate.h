@@ -83,8 +83,9 @@ MappingSet EnumerateVa(const VA& a, const Document& doc);
 
 /// Streaming variants of the same: `scratch` supplies the oracle's
 /// transient memory (it is Reset() between oracle calls); results are
-/// pushed into `sink`. A tripped `cancel` token ends the stream early; rows already pushed are
-/// the caller's to discard (the request surfaces only the error Status).
+/// pushed into `sink`. A tripped `cancel` token ends the stream early;
+/// rows already pushed are the caller's to discard (the request surfaces
+/// only the error Status).
 void EnumerateSequentialTo(const VA& a, const Document& doc, Arena* scratch,
                            MappingSink& sink, CancelToken* cancel = nullptr);
 void EnumerateVaTo(const VA& a, const Document& doc, Arena* scratch,

@@ -16,10 +16,10 @@
 //           │ yes
 //   ┌───────┼─ plan p's own per-document path (ExtractionPlan) ─────────┐
 //   │       ▼                                                           │
-//   │ p's full prefilter, if it has more clauses  ──rejects──► skip p  │
+//   │ p's full prefilter, if it has more clauses  ──rejects──► skip p   │
 //   │       │ passes                                                    │
 //   │       ▼                                                           │
-//   │ p's lazy-DFA membership gate                ──rejects──► skip p  │
+//   │ p's lazy-DFA membership gate                ──rejects──► skip p   │
 //   │       │ passes                                                    │
 //   │       ▼                                                           │
 //   │ p's evaluator (run enumeration / Thm 5.7 / Thm 5.10)              │
